@@ -12,6 +12,7 @@ import numpy as np
 
 from mvfuse.data import (
     NORMALIZATION_SCHEMES,
+    Manifest,
     generate_synthetic,
     load_dataset,
     normalize_dataset,
@@ -91,33 +92,43 @@ def _parse_synthetic_spec(spec: str) -> dict:
 
 
 def _load_data(args):
+    """Check the options run and grid share; return the dataset and the
+    normalization scheme applied to it."""
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     if bool(args.manifest) == bool(args.synthetic):
         raise ValueError("provide exactly one of --manifest or --synthetic")
     if args.manifest:
-        return load_dataset(args.manifest, normalization=args.norm)
-    ds = generate_synthetic(**_parse_synthetic_spec(args.synthetic))
-    return normalize_dataset(ds, args.norm or "l2-sample")
+        scheme = args.norm or Manifest.load(args.manifest).normalization
+        return load_dataset(args.manifest, normalization=scheme), scheme
+    scheme = args.norm or "l2-sample"
+    dataset = generate_synthetic(**_parse_synthetic_spec(args.synthetic))
+    return normalize_dataset(dataset, scheme), scheme
+
+
+def _hyper_params(args, lam, dims) -> HyperParams:
+    return HyperParams(
+        lam=lam, dims=dims, max_iter=args.max_iter, tol=args.tol,
+        kmeans_restarts=args.restarts, pretrain_iters=args.pretrain_iters, seed=args.seed,
+    )
+
+
+def _map(fn, items, threads):
+    """[fn(item) for item in items], on a pool of `threads` workers when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _run_repeats(dataset, hp, repeats, threads):
-    def one(i):
-        return fit(dataset, replace(hp, seed=hp.seed + i))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(repeats)))
-    return [one(i) for i in range(repeats)]
+    return _map(lambda i: fit(dataset, replace(hp, seed=hp.seed + i)), range(repeats), threads)
 
 
-def _best_index(results):
-    """Best repeat: highest accuracy when scored, lowest objective otherwise."""
-    if results[0].scores is not None:
-        return int(np.argmax([r.scores["acc"] for r in results]))
-    return int(np.argmin([r.history[-1].objective for r in results]))
-
-
-def _metric(res, key):
-    return res.scores[key] if res.scores is not None else None
+def _values(res) -> list:
+    """Objective, acc, nmi and pur of one repeat; the scores are None without ground truth."""
+    scores = res.scores or {}
+    return [res.history[-1].objective] + [scores.get(key) for key in ("acc", "nmi", "pur")]
 
 
 def _mean_std(values):
@@ -127,46 +138,45 @@ def _mean_std(values):
     return float(np.mean(values)), float(np.std(values))
 
 
+def _summary(results):
+    """Best repeat index, then the mean and the std of every _values column.
+
+    The best repeat has the highest accuracy when scored, the lowest objective otherwise.
+    """
+    values = [_values(res) for res in results]
+    if results[0].scores is not None:
+        best = int(np.argmax([v[1] for v in values]))
+    else:
+        best = int(np.argmin([v[0] for v in values]))
+    stats = [_mean_std(column) for column in zip(*values)]
+    return best, [mean for mean, _ in stats], [std for _, std in stats]
+
+
 RESULT_COLUMNS = "repeat seed lambda dims norm iterations objective acc nmi pur".split()
 
 
 def _results_table(results, hp, norm, seed):
+    best, mean, std = _summary(results)
     dims_text = ",".join(str(d) for d in hp.dims)
     rows = ["\t".join(RESULT_COLUMNS)]
 
-    def row(tag, seed_text, iters, obj, acc, nmi_v, pur):
-        rows.append(
-            "\t".join(
-                [tag, seed_text, _fmt(hp.lam), dims_text, norm, iters,
-                 _fmt(obj), _fmt(acc), _fmt(nmi_v), _fmt(pur)]
-            )
-        )
+    def row(tag, seed_text, iters, values):
+        rows.append("\t".join(
+            [tag, seed_text, _fmt(hp.lam), dims_text, norm, iters] + [_fmt(v) for v in values]
+        ))
 
     for i, res in enumerate(results):
-        row(str(i), str(seed + i), str(res.iterations_run), res.history[-1].objective,
-            _metric(res, "acc"), _metric(res, "nmi"), _metric(res, "pur"))
-    best = _best_index(results)
-    res = results[best]
-    row("best", str(seed + best), str(res.iterations_run), res.history[-1].objective,
-        _metric(res, "acc"), _metric(res, "nmi"), _metric(res, "pur"))
-    for tag, stat in (("mean", 0), ("std", 1)):
-        obj = _mean_std([r.history[-1].objective for r in results])[stat]
-        acc = _mean_std([_metric(r, "acc") for r in results])[stat]
-        nmi_v = _mean_std([_metric(r, "nmi") for r in results])[stat]
-        pur = _mean_std([_metric(r, "pur") for r in results])[stat]
-        row(tag, "-", "-", obj, acc, nmi_v, pur)
+        row(str(i), str(seed + i), str(res.iterations_run), _values(res))
+    row("best", str(seed + best), str(results[best].iterations_run), _values(results[best]))
+    row("mean", "-", "-", mean)
+    row("std", "-", "-", std)
     return "\n".join(rows) + "\n", best
 
 
 def cmd_run(args) -> int:
-    dataset = _load_data(args)
+    dataset, norm = _load_data(args)
     dims = _parse_int_list(args.dims, "--dims")
-    hp = HyperParams(
-        lam=args.lam, dims=dims, max_iter=args.max_iter, tol=args.tol,
-        kmeans_restarts=args.restarts, pretrain_iters=args.pretrain_iters,
-        seed=args.seed, warmup_hm=args.warmup_hm,
-    )
-    norm = args.norm or "l2-sample"
+    hp = _hyper_params(args, args.lam, dims)
     results = _run_repeats(dataset, hp, args.repeats, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,8 +207,7 @@ GRID_COLUMNS = (
 
 
 def cmd_grid(args) -> int:
-    dataset = _load_data(args)
-    norm = args.norm or "l2-sample"
+    dataset, norm = _load_data(args)
     kinds = tuple(t for t in args.schemes.split(",") if t)
     for kind in kinds:
         if kind not in ("p2", "p3"):
@@ -215,46 +224,28 @@ def cmd_grid(args) -> int:
 
     def run_cell(cell):
         dims, lam = cell
-        hp = HyperParams(
-            lam=lam, dims=dims, max_iter=args.max_iter, tol=args.tol,
-            kmeans_restarts=args.restarts, pretrain_iters=args.pretrain_iters,
-            seed=args.seed, warmup_hm=args.warmup_hm,
-        )
         try:
-            results = _run_repeats(dataset, hp, args.repeats, 1)
+            results = _run_repeats(dataset, _hyper_params(args, lam, dims), args.repeats, 1)
         except (ValueError, NumericalError) as exc:
             return None, str(exc)
         return results, ""
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(c) for c in cells]
+    outcomes = _map(run_cell, cells, args.threads)
 
     rows = ["\t".join(GRID_COLUMNS)]
     best_cell, best_acc = None, -1.0
     for idx, ((dims, lam), (results, error)) in enumerate(zip(cells, outcomes)):
-        dims_text = ",".join(str(d) for d in dims)
+        head = [str(idx), _fmt(lam), ",".join(str(d) for d in dims), norm, str(args.repeats)]
         if results is None:
             error = error.replace("\t", " ").replace("\n", " ")
-            rows.append("\t".join(
-                [str(idx), _fmt(lam), dims_text, norm, str(args.repeats), "failed"]
-                + ["nan"] * 10 + [error]
-            ))
+            rows.append("\t".join(head + ["failed"] + ["nan"] * 10 + [error]))
             continue
-        best = results[_best_index(results)]
-        stats = []
-        for key in ("acc", "nmi", "pur"):
-            stats.append(_mean_std([_metric(r, key) for r in results]))
-        mean_obj = float(np.mean([r.history[-1].objective for r in results]))
+        best, mean, std = _summary(results)
+        _, acc, nmi_v, pur = _values(results[best])
+        spread = [stat for pair in zip(mean[1:], std[1:]) for stat in pair]
         rows.append("\t".join(
-            [str(idx), _fmt(lam), dims_text, norm, str(args.repeats), "ok",
-             _fmt(_metric(best, "acc")), _fmt(_metric(best, "nmi")), _fmt(_metric(best, "pur")),
-             _fmt(stats[0][0]), _fmt(stats[0][1]), _fmt(stats[1][0]), _fmt(stats[1][1]),
-             _fmt(stats[2][0]), _fmt(stats[2][1]), _fmt(mean_obj), ""]
+            head + ["ok"] + [_fmt(v) for v in [acc, nmi_v, pur] + spread + [mean[0]]] + [""]
         ))
-        acc = _metric(best, "acc")
         if acc is not None and acc > best_acc:
             best_cell, best_acc = idx, acc
 
@@ -314,8 +305,6 @@ def _add_fit_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=50, help="k-means restarts")
     p.add_argument("--pretrain-iters", type=int, default=50)
-    p.add_argument("--warmup-hm", action="store_true",
-                   help="extra representation step on h_m before each partition step")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
 

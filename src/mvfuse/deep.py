@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvfuse.linalg import NumericalError, as_matrix, neg_part, pinv, pos_part
-from mvfuse.seminmf import EPS, fit_layer, multiplicative_step
+from mvfuse.linalg import NumericalError, as_matrix, pinv
+from mvfuse.seminmf import fit_layer, multiplicative_step
 
 
 @dataclass
@@ -113,15 +113,10 @@ def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam
     if lam < 0:
         raise ValueError("lam must be >= 0")
     phi = _left_product(vf.z, vf.depth - 1)
-    hm = vf.h[-1]
-    a = phi.T @ vf.x
-    gram = phi.T @ phi
-    wh = rotation @ consensus
-    a2 = 2.0 * alpha_v * alpha_v
-    lb = lam * beta_v
-    num = a2 * (pos_part(a) + neg_part(gram) @ hm) + lb * pos_part(wh)
-    den = a2 * (neg_part(a) + pos_part(gram) @ hm) + lb * neg_part(wh) + EPS
-    return hm * np.sqrt(num / den)
+    return multiplicative_step(
+        vf.x, phi, vf.h[-1], weight=2.0 * alpha_v * alpha_v,
+        pull=lam * beta_v * (rotation @ consensus),
+    )
 
 
 def reconstruction_loss(vf: ViewFactorization) -> float:
@@ -155,22 +150,16 @@ def fix_partition_gauge(vf: ViewFactorization) -> None:
     vf.h[-1] = hm / scale[:, None]
 
 
-def sweep_view(vf, consensus, rotation, alpha_v, beta_v, lam, warmup_hm: bool = False):
+def sweep_view(vf, consensus, rotation, alpha_v, beta_v, lam):
     """One fine-tuning pass over a view: per layer the basis refit, then the
     representation step; the partition step runs last, followed by the gauge
-    fix that pins the partition scale.
-
-    warmup_hm additionally applies the plain representation step to h_m right
-    before the partition step. Factors are updated in place.
+    fix that pins the partition scale. Factors are updated in place.
     """
     m = vf.depth
     for i in range(m):
         vf.z[i] = update_basis(vf, i)
         if i < m - 1:
             vf.h[i] = update_hidden(vf, i)
-    if warmup_hm:
-        phi = _left_product(vf.z, m - 1)
-        vf.h[-1] = multiplicative_step(vf.x, phi, vf.h[-1])
     vf.h[-1] = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
     fix_partition_gauge(vf)
     return vf

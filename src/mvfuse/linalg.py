@@ -6,8 +6,6 @@ no global state, no in-place mutation of inputs.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Relative threshold below which a singular value marks its problem as
@@ -17,12 +15,6 @@ DEGENERACY_RTOL = 1e-12
 
 class NumericalError(RuntimeError):
     """A matrix routine failed to converge or produced unusable output."""
-
-
-class SvdFactors(NamedTuple):
-    u: np.ndarray   # orthonormal columns
-    s: np.ndarray   # singular values, descending, all >= 0
-    vt: np.ndarray  # orthonormal rows
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -35,27 +27,23 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def svd(a: np.ndarray) -> SvdFactors:
-    """Thin SVD with min(rows, cols) triplets."""
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) with min(rows, cols) triplets, s descending."""
     a = as_matrix(a)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on a {a.shape} matrix") from exc
-    return SvdFactors(u, s, vt)
 
 
-def pinv(a: np.ndarray, tol: float | None = None) -> np.ndarray:
+def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values <= tol are treated as exact zeros; the default tol is
-    max(rows, cols) * machine epsilon * largest singular value.
+    Singular values <= max(rows, cols) * machine epsilon * largest singular
+    value are treated as exact zeros.
     """
     u, s, vt = svd(a)
-    if tol is None:
-        tol = max(a.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    elif tol < 0:
-        raise ValueError("tol must be >= 0")
+    tol = max(a.shape) * np.finfo(np.float64).eps * s[0]
     inv = np.zeros_like(s)
     keep = s > tol
     inv[keep] = 1.0 / s[keep]

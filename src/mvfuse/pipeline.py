@@ -48,7 +48,6 @@ class HyperParams:
     kmeans_restarts: int = 50
     pretrain_iters: int = 50
     seed: int = 0
-    warmup_hm: bool = False
 
     def validate(self) -> "HyperParams":
         if self.lam < 0:
@@ -170,10 +169,7 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
             )
             stage = "view sweep"
             for v, vf in enumerate(views):
-                sweep_view(
-                    vf, state.h, state.w[v], state.alpha[v], state.beta[v],
-                    hp.lam, warmup_hm=hp.warmup_hm,
-                )
+                sweep_view(vf, state.h, state.w[v], state.alpha[v], state.beta[v], hp.lam)
             stage = "rotation"
             rotation_degenerate = []
             for v, vf in enumerate(views):

@@ -26,16 +26,21 @@ class LayerFactors:
     h: np.ndarray  # l x n representation, entrywise >= 0
 
 
-def multiplicative_step(x, basis, h):
-    """One Ding-style update of h toward min ||x - basis @ h||, keeping h >= 0.
+def multiplicative_step(x, basis, h, weight=1.0, pull=None):
+    """One Ding-style step on h >= 0 descending weight/2 ||x - basis @ h||^2 - tr(h^T pull).
 
-    Entries of h that are exactly zero stay zero.
+    With pull=None this is the plain semi-NMF step; otherwise the positive and
+    negative parts of pull join the weighted numerator and denominator. Entries
+    of h that are exactly zero stay zero.
     """
     a = basis.T @ x
     gram = basis.T @ basis
-    num = pos_part(a) + neg_part(gram) @ h
-    den = neg_part(a) + pos_part(gram) @ h + EPS
-    return h * np.sqrt(num / den)
+    num = weight * (pos_part(a) + neg_part(gram) @ h)
+    den = weight * (neg_part(a) + pos_part(gram) @ h)
+    if pull is not None:
+        num = num + pos_part(pull)
+        den = den + neg_part(pull)
+    return h * np.sqrt(num / (den + EPS))
 
 
 def init_layer(x, width: int, seed: int = 0) -> LayerFactors:

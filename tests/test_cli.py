@@ -125,6 +125,46 @@ def test_run_is_deterministic_per_seed(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_run_files_do_not_depend_on_thread_count(tmp_path):
+    for threads in ("1", "2"):
+        assert main(SMALL_RUN + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    for name in ("results.tsv", "objective_trace.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_fit_commands_reject_nonpositive_repeats(tmp_path, capsys, command):
+    argv = [command, "--synthetic", SMALL_SPEC, "--repeats", "0", "--out", str(tmp_path)]
+    if command == "run":
+        argv += ["--lambda", "1", "--dims", "6,3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--repeats" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_norm_column_names_the_scheme_the_manifest_applied(tmp_path):
+    assert main([
+        "synth", "--n", "40", "--k", "3", "--view-dims", "10,14", "--seed", "7",
+        "--norm", "minmax-feature", "--out", str(tmp_path / "ds"),
+    ]) == 0
+    data = ["--manifest", str(tmp_path / "ds" / "manifest.json")]
+    fit_args = ["--repeats", "1", "--max-iter", "5", "--restarts", "2"]
+    run = ["run", *data, "--lambda", "1", "--dims", "6,3", *fit_args]
+    assert main(run + ["--out", str(tmp_path / "implicit")]) == 0
+    assert main(run + ["--norm", "minmax-feature", "--out", str(tmp_path / "explicit")]) == 0
+    assert main([
+        "grid", *data, "--lambdas", "1", "--schemes", "p2", "--p2-l1", "2", *fit_args,
+        "--out", str(tmp_path / "grid"),
+    ]) == 0
+    _, implicit = _read_rows(tmp_path / "implicit" / "results.tsv")
+    _, explicit = _read_rows(tmp_path / "explicit" / "results.tsv")
+    _, cells = _read_rows(tmp_path / "grid" / "grid.tsv")
+    assert implicit == explicit
+    assert {r["norm"] for r in implicit} == {"minmax-feature"}
+    assert cells[0]["norm"] == "minmax-feature"
+
+
 def test_run_rejects_ambiguous_data_source(tmp_path, capsys):
     code = main([
         "run", "--synthetic", SMALL_SPEC, "--manifest", "x.json",
@@ -184,6 +224,17 @@ def test_grid_records_failed_cells(tmp_path, capsys):
     assert failed["best_acc"] == "nan"
     ok = next(r for r in rows if r["status"] == "ok")
     assert ok["error"] == ""
+
+
+def test_grid_file_does_not_depend_on_thread_count(tmp_path):
+    argv = [
+        "grid", "--synthetic", SMALL_SPEC, "--lambdas", "0.5,1",
+        "--schemes", "p2", "--p2-l1", "2,3",
+        "--repeats", "2", "--max-iter", "5", "--restarts", "2",
+    ]
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    assert (tmp_path / "1" / "grid.tsv").read_bytes() == (tmp_path / "2" / "grid.tsv").read_bytes()
 
 
 def test_grid_rejects_unknown_scheme_kind(tmp_path, capsys):

@@ -229,6 +229,27 @@ def test_update_partition_reduces_to_plain_step_without_alignment():
     assert np.allclose(got, plain, rtol=1e-8, atol=1e-10)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.75])
+def test_update_partition_equals_the_inline_aligned_rule(lam):
+    """The weighted, pulled multiplicative step is the partition rule written
+    out term by term, in the same order of operations, bit for bit."""
+    from mvfuse.linalg import neg_part, pos_part
+    from mvfuse.seminmf import EPS
+
+    rng = np.random.default_rng(235)
+    vf = _random_vf(rng, d=12, dims=(6, 3), n=28)
+    consensus = _row_orthonormal(rng, 3, 28)
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    alpha_v, beta_v = 0.37, 0.61
+    phi, hm = vf.z[0] @ vf.z[1], vf.h[-1]
+    a, gram, wh = phi.T @ vf.x, phi.T @ phi, rotation @ consensus
+    a2, lb = 2.0 * alpha_v * alpha_v, lam * beta_v
+    num = a2 * (pos_part(a) + neg_part(gram) @ hm) + lb * pos_part(wh)
+    den = a2 * (neg_part(a) + pos_part(gram) @ hm) + lb * neg_part(wh) + EPS
+    got = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
+    assert np.array_equal(got, hm * np.sqrt(num / den))
+
+
 def test_update_partition_monotone_on_joint_subproblem():
     rng = np.random.default_rng(239)
     for _ in range(20):
@@ -334,19 +355,6 @@ def test_sweep_without_alignment_is_a_deep_seminmf_sweep():
         assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
     for got, want in zip(vf.h, hs):
         assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
-
-
-def test_sweep_with_warmup_applies_extra_partition_smoothing():
-    rng = np.random.default_rng(259)
-    vf_a = _random_vf(rng, d=12, dims=(6, 3), n=26)
-    vf_b = ViewFactorization(
-        x=vf_a.x, z=[z.copy() for z in vf_a.z], h=[h.copy() for h in vf_a.h]
-    )
-    consensus = _row_orthonormal(np.random.default_rng(1), 3, 26)
-    sweep_view(vf_a, consensus, np.eye(3), 0.5, 0.5, 1.0, warmup_hm=False)
-    sweep_view(vf_b, consensus, np.eye(3), 0.5, 0.5, 1.0, warmup_hm=True)
-    assert not np.allclose(vf_a.h[-1], vf_b.h[-1])  # the flag changes the trajectory
-    assert vf_b.h[-1].min() >= 0
 
 
 # ---------------------------------------------------------------------------
