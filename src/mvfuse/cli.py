@@ -96,6 +96,8 @@ def _load_data(args):
     normalization scheme applied to it."""
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if bool(args.manifest) == bool(args.synthetic):
         raise ValueError("provide exactly one of --manifest or --synthetic")
     if args.manifest:
@@ -110,7 +112,7 @@ def _hyper_params(args, lam, dims) -> HyperParams:
     return HyperParams(
         lam=lam, dims=dims, max_iter=args.max_iter, tol=args.tol,
         kmeans_restarts=args.restarts, pretrain_iters=args.pretrain_iters, seed=args.seed,
-    )
+    ).validate()
 
 
 def _map(fn, items, threads):
@@ -220,12 +222,13 @@ def cmd_grid(args) -> int:
     )
     lambdas = ([float(t) for t in args.lambdas.split(",") if t]
                if args.lambdas else lambda_grid())
-    cells = [(dims, lam) for dims in schemes for lam in lambdas]
+    # Options are checked for every cell before any fit; only a layer scheme
+    # that does not fit the data fails inside its own cell.
+    cells = [_hyper_params(args, lam, dims) for dims in schemes for lam in lambdas]
 
-    def run_cell(cell):
-        dims, lam = cell
+    def run_cell(hp):
         try:
-            results = _run_repeats(dataset, _hyper_params(args, lam, dims), args.repeats, 1)
+            results = _run_repeats(dataset, hp, args.repeats, 1)
         except (ValueError, NumericalError) as exc:
             return None, str(exc)
         return results, ""
@@ -234,8 +237,8 @@ def cmd_grid(args) -> int:
 
     rows = ["\t".join(GRID_COLUMNS)]
     best_cell, best_acc = None, -1.0
-    for idx, ((dims, lam), (results, error)) in enumerate(zip(cells, outcomes)):
-        head = [str(idx), _fmt(lam), ",".join(str(d) for d in dims), norm, str(args.repeats)]
+    for idx, (hp, (results, error)) in enumerate(zip(cells, outcomes)):
+        head = [str(idx), _fmt(hp.lam), ",".join(str(d) for d in hp.dims), norm, str(args.repeats)]
         if results is None:
             error = error.replace("\t", " ").replace("\n", " ")
             rows.append("\t".join(head + ["failed"] + ["nan"] * 10 + [error]))
@@ -255,10 +258,10 @@ def cmd_grid(args) -> int:
     ok = sum(1 for results, _ in outcomes if results is not None)
     print(f"grid: {len(cells)} cells ({ok} ok, {len(cells) - ok} failed)")
     if best_cell is not None:
-        dims, lam = cells[best_cell]
+        hp = cells[best_cell]
         print(
-            f"best cell {best_cell}: lambda={_fmt(lam)} "
-            f"dims={','.join(map(str, dims))} acc={_fmt(best_acc)}"
+            f"best cell {best_cell}: lambda={_fmt(hp.lam)} "
+            f"dims={','.join(map(str, hp.dims))} acc={_fmt(best_acc)}"
         )
     print(f"wrote {out / 'grid.tsv'}")
     return 0

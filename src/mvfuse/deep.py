@@ -26,10 +26,6 @@ class ViewFactorization:
     def depth(self) -> int:
         return len(self.z)
 
-    @property
-    def partition(self) -> np.ndarray:
-        return self.h[-1]
-
 
 def validate_layer_dims(dims, k: int, feature_dims, n: int) -> list[int]:
     """Check a layer-width scheme: strictly decreasing, ending at k, fitting every view."""

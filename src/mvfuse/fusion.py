@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvfuse.deep import reconstruction_loss
+# Unused here; kept because the benchmark's tracer wraps this module attribute.
+from mvfuse.deep import reconstruction_loss  # noqa: F401
 from mvfuse.linalg import as_matrix, procrustes_max
 
 
@@ -103,12 +104,12 @@ def update_alpha(losses) -> np.ndarray:
     return inv / inv.sum()
 
 
-def update_beta(partitions, rotations, consensus) -> np.ndarray:
+def update_beta(partitions, rotations, consensus):
     """Alignment weights maximizing sum_v beta_v f_v on the non-negative unit sphere.
 
     f_v = tr(partition_v.T @ rotation_v @ consensus). Negative components are
     clamped to zero before normalizing; if no view aligns positively the
-    weights fall back to uniform and a warning is issued.
+    weights fall back to uniform and a warning is issued. Returns (beta, f).
     """
     f = np.array(
         [float(np.sum(hm * (w @ consensus))) for hm, w in zip(partitions, rotations)]
@@ -122,17 +123,15 @@ def update_beta(partitions, rotations, consensus) -> np.ndarray:
             stacklevel=2,
         )
         v = len(f)
-        return np.full(v, 1.0 / np.sqrt(v))
-    return clamped / norm
+        return np.full(v, 1.0 / np.sqrt(v)), f
+    return clamped / norm, f
 
 
-def objective(views, state: FusionState, lam: float) -> float:
-    """Weighted reconstruction cost minus lam times the weighted alignment trace."""
-    recon = sum(
-        a * a * reconstruction_loss(vf) for a, vf in zip(state.alpha, views)
-    )
-    align = sum(
-        b * float(np.sum(state.h * (w.T @ vf.h[-1])))
-        for b, w, vf in zip(state.beta, state.w, views)
-    )
+def objective(losses, traces, state: FusionState, lam: float) -> float:
+    """Weighted reconstruction cost minus lam times the weighted alignment trace.
+
+    Takes the per-view losses and traces the alpha and beta steps computed.
+    """
+    recon = sum(a * a * loss for a, loss in zip(state.alpha, losses))
+    align = sum(b * f for b, f in zip(state.beta, traces))
     return float(recon - lam * align)

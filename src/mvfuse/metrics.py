@@ -83,17 +83,6 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0, max_iter: int = 300
     return best_labels
 
 
-def within_cluster_ss(points, labels) -> float:
-    """Sum of squared distances to per-cluster means (inertia of a labeling)."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
-    total = 0.0
-    for c in np.unique(labels):
-        member = points[labels == c]
-        total += float(np.sum((member - member.mean(axis=0)) ** 2))
-    return total
-
-
 def hungarian(cost) -> np.ndarray:
     """Permutation perm minimizing sum(cost[i, perm[i]]) for a square cost matrix."""
     cost = np.asarray(cost, dtype=np.float64)

@@ -183,9 +183,9 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
                 state.alpha = update_alpha(losses)
             # else: every view reconstructs exactly; any alpha is optimal, keep it
             stage = "beta"
-            state.beta = update_beta([vf.h[-1] for vf in views], state.w, state.h)
+            state.beta, traces = update_beta([vf.h[-1] for vf in views], state.w, state.h)
             stage = "objective"
-            obj = objective(views, state, hp.lam)
+            obj = objective(losses, traces, state, hp.lam)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}, {stage} block: {exc}") from exc
         history.append(

@@ -162,7 +162,7 @@ def test_criterion_4_block_optimality():
     for f in ([3.0, 4.0], [1.0, 0.01], [-1.0, 1.0], [2.0, 2.0]):
         partitions = [np.array([[t, 0.0]]) for t in f]
         rotations = [np.eye(1), np.eye(1)]
-        closed = update_beta(partitions, rotations, consensus)
+        closed, _ = update_beta(partitions, rotations, consensus)
         best = arc[:, int(np.argmax(np.asarray(f) @ arc))]
         beta_ok &= bool(np.max(np.abs(best - closed)) <= 1e-3)
 

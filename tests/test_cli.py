@@ -143,6 +143,18 @@ def test_fit_commands_reject_nonpositive_repeats(tmp_path, capsys, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_fit_commands_reject_nonpositive_threads(tmp_path, capsys, command, threads):
+    argv = [command, "--synthetic", SMALL_SPEC, "--threads", threads, "--out", str(tmp_path)]
+    if command == "run":
+        argv += ["--lambda", "1", "--dims", "6,3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--threads" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_norm_column_names_the_scheme_the_manifest_applied(tmp_path):
     assert main([
         "synth", "--n", "40", "--k", "3", "--view-dims", "10,14", "--seed", "7",
@@ -224,6 +236,25 @@ def test_grid_records_failed_cells(tmp_path, capsys):
     assert failed["best_acc"] == "nan"
     ok = next(r for r in rows if r["status"] == "ok")
     assert ok["error"] == ""
+
+
+@pytest.mark.parametrize("option, field", [
+    (["--max-iter", "0"], "max_iter"),
+    (["--restarts", "0"], "kmeans_restarts"),
+    (["--tol", "0"], "tol"),
+    (["--pretrain-iters", "-1"], "pretrain_iters"),
+    (["--lambdas=1,-0.5"], "lam"),
+])
+def test_grid_rejects_out_of_range_fit_options_before_any_fit(tmp_path, capsys, option, field):
+    argv = [
+        "grid", "--synthetic", SMALL_SPEC, "--lambdas", "1", "--schemes", "p2",
+        "--p2-l1", "2", "--repeats", "1", "--max-iter", "5", "--restarts", "2",
+    ]
+    assert main(argv + option + ["--out", str(tmp_path / "grid")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "grid").exists()
 
 
 def test_grid_file_does_not_depend_on_thread_count(tmp_path):

@@ -82,7 +82,6 @@ def test_pretrain_shapes_and_nonnegativity():
     assert [z.shape for z in vf.z] == [(20, 10), (10, 6), (6, 3)]
     assert [h.shape for h in vf.h] == [(10, 50), (6, 50), (3, 50)]
     assert all(h.min() >= 0 for h in vf.h)
-    assert vf.partition is vf.h[-1]
 
 
 def test_pretrain_recovers_planted_clusters():

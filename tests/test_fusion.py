@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvfuse.deep import ViewFactorization
+from mvfuse.deep import ViewFactorization, reconstruction_loss
 from mvfuse.fusion import (
     FusionState,
     objective,
@@ -210,28 +210,31 @@ def _beta_fixture(traces):
 
 def test_beta_normalizes_positive_traces():
     partitions, rotations, consensus = _beta_fixture([3.0, 4.0])
-    beta = update_beta(partitions, rotations, consensus)
+    beta, traces = update_beta(partitions, rotations, consensus)
     assert np.allclose(beta, [0.6, 0.8])
+    assert np.array_equal(traces, [3.0, 4.0])
 
 
 def test_beta_clamps_negative_traces():
     partitions, rotations, consensus = _beta_fixture([-1.0, 1.0])
-    beta = update_beta(partitions, rotations, consensus)
+    beta, traces = update_beta(partitions, rotations, consensus)
     assert np.allclose(beta, [0.0, 1.0])
+    assert np.array_equal(traces, [-1.0, 1.0])
 
 
 def test_beta_falls_back_to_uniform_when_nothing_aligns():
     partitions, rotations, consensus = _beta_fixture([-1.0, -2.0])
     with pytest.warns(RuntimeWarning, match="no view aligns positively"):
-        beta = update_beta(partitions, rotations, consensus)
+        beta, traces = update_beta(partitions, rotations, consensus)
     assert np.allclose(beta, np.full(2, 1.0 / np.sqrt(2.0)))
+    assert np.array_equal(traces, [-1.0, -2.0])
 
 
 def test_beta_has_unit_norm_on_random_views():
     rng = np.random.default_rng(79)
     partitions, rotations = _random_views(rng, v=4)
     consensus = _row_orthonormal(rng, 3, 20)
-    beta = update_beta(partitions, rotations, consensus)
+    beta, _ = update_beta(partitions, rotations, consensus)
     assert np.isclose(np.linalg.norm(beta), 1.0, atol=1e-12)
     assert np.all(beta >= 0)
 
@@ -240,8 +243,8 @@ def test_beta_beats_unit_circle_grid():
     # For two views the feasible set is the first-quadrant arc; a fine sweep
     # of it must not beat the clamp-and-normalize solution.
     partitions, rotations, consensus = _beta_fixture([3.0, 4.0])
-    f = np.array([3.0, 4.0])
-    beta = update_beta(partitions, rotations, consensus)
+    beta, f = update_beta(partitions, rotations, consensus)
+    assert np.array_equal(f, [3.0, 4.0])
     best = float(beta @ f)
     for theta in np.arange(0.0, np.pi / 2 + 1e-9, 1e-3):
         cand = np.array([np.cos(theta), np.sin(theta)])
@@ -274,7 +277,9 @@ def test_objective_pure_alignment_equals_minus_lam_k():
         beta=np.array([1.0]),
     )
     lam = 0.7
-    assert np.isclose(objective([vf], state, lam), -lam * 3.0, atol=1e-12)
+    losses = [reconstruction_loss(vf)]
+    _, traces = update_beta([vf.h[-1]], state.w, state.h)
+    assert np.isclose(objective(losses, traces, state, lam), -lam * 3.0, atol=1e-12)
 
 
 def test_objective_matches_term_by_term_recomputation():
@@ -296,7 +301,9 @@ def test_objective_matches_term_by_term_recomputation():
         recon = np.linalg.norm(vf.x - vf.z[0] @ vf.z[1] @ vf.h[1], "fro") ** 2
         align = np.trace(vf.h[1].T @ w @ state.h)
         expected += a * a * recon - lam * b * align
-    assert np.isclose(objective(views, state, lam), expected, rtol=1e-12)
+    losses = [reconstruction_loss(vf) for vf in views]
+    _, traces = update_beta([vf.h[-1] for vf in views], state.w, state.h)
+    assert np.isclose(objective(losses, traces, state, lam), expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

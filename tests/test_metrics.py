@@ -11,11 +11,21 @@ from mvfuse.metrics import (
     kmeans,
     nmi,
     purity,
-    within_cluster_ss,
 )
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def within_cluster_ss(points, labels) -> float:
+    """Sum of squared distances to per-cluster means (inertia of a labeling)."""
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    total = 0.0
+    for c in np.unique(labels):
+        member = points[labels == c]
+        total += float(np.sum((member - member.mean(axis=0)) ** 2))
+    return total
 
 
 def brute_force_assignment(cost):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import mvfuse.fusion as fusion_module
 import mvfuse.pipeline as pipeline_module
 from mvfuse.data import generate_synthetic, normalize_dataset
+from mvfuse.deep import reconstruction_loss
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import (
     HyperParams,
@@ -168,3 +170,17 @@ def test_fit_names_the_failing_block(monkeypatch):
     monkeypatch.setattr(pipeline_module, "update_beta", boom)
     with pytest.raises(NumericalError, match="iteration 0, beta block"):
         fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
+
+
+def test_fit_computes_each_view_loss_once_per_iteration(monkeypatch):
+    calls = []
+
+    def counting(vf):
+        calls.append(vf)
+        return reconstruction_loss(vf)
+
+    monkeypatch.setattr(pipeline_module, "reconstruction_loss", counting)
+    monkeypatch.setattr(fusion_module, "reconstruction_loss", counting)
+    ds = _small_dataset()
+    res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
+    assert len(calls) == ds.num_views * res.iterations_run
