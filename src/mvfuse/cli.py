@@ -50,11 +50,26 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, parse=int):
     try:
-        return [int(t) for t in str(text).split(",") if t != ""]
+        return [parse(t) for t in str(text).split(",") if t != ""]
     except ValueError as exc:
-        raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}") from exc
+        raise ValueError(f"{flag} must be a comma-separated {parse.__name__} list, got {text!r}") from exc
+
+
+# Synthetic spec key -> (generate_synthetic keyword, value parser), for run, grid and synth.
+SYNTHETIC_SPEC_KEYS = {
+    "n": ("n", int),
+    "k": ("k", int),
+    "dims": ("view_dims", lambda v: [int(t) for t in v.split("/")]),
+    "sigma": ("noise_sigma", float),
+    "seed": ("seed", int),
+    "nuisance-dim": ("nuisance_dim", int),
+    "nuisance-scale": ("nuisance_scale", float),
+    "name": ("name", str),
+}
+
+SYNTHETIC_HELP = "synthetic dataset spec, e.g. n=300,k=3,dims=40/60/80,sigma=0.1,seed=7"
 
 
 def _parse_synthetic_spec(spec: str) -> dict:
@@ -67,27 +82,16 @@ def _parse_synthetic_spec(spec: str) -> dict:
             raise ValueError(f"bad synthetic spec item {item!r}, expected key=value")
         key, value = item.split("=", 1)
         key = key.strip()
-        if key == "n":
-            kwargs["n"] = int(value)
-        elif key == "k":
-            kwargs["k"] = int(value)
-        elif key == "dims":
-            kwargs["view_dims"] = [int(t) for t in value.split("/")]
-        elif key == "sigma":
-            kwargs["noise_sigma"] = float(value)
-        elif key == "seed":
-            kwargs["seed"] = int(value)
-        elif key == "nuisance-dim":
-            kwargs["nuisance_dim"] = int(value)
-        elif key == "nuisance-scale":
-            kwargs["nuisance_scale"] = float(value)
-        elif key == "name":
-            kwargs["name"] = value
-        else:
+        if key not in SYNTHETIC_SPEC_KEYS:
             raise ValueError(f"unknown synthetic spec key {key!r}")
-    for required in ("n", "k", "view_dims"):
-        if required not in kwargs:
-            raise ValueError(f"synthetic spec missing {required}")
+        keyword, parse = SYNTHETIC_SPEC_KEYS[key]
+        try:
+            kwargs[keyword] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"synthetic spec key {key!r} has a bad value {value!r}") from exc
+    for key in ("n", "k", "dims"):
+        if SYNTHETIC_SPEC_KEYS[key][0] not in kwargs:
+            raise ValueError(f"synthetic spec missing key {key!r}")
     return kwargs
 
 
@@ -108,11 +112,17 @@ def _load_data(args):
     return normalize_dataset(dataset, scheme), scheme
 
 
-def _hyper_params(args, lam, dims) -> HyperParams:
-    return HyperParams(
-        lam=lam, dims=dims, max_iter=args.max_iter, tol=args.tol,
-        kmeans_restarts=args.restarts, pretrain_iters=args.pretrain_iters, seed=args.seed,
-    ).validate()
+def _hyper_params(args, lam, dims, lam_flag) -> HyperParams:
+    try:
+        return HyperParams(
+            lam=lam, dims=dims, max_iter=args.max_iter, tol=args.tol,
+            kmeans_restarts=args.restarts, pretrain_iters=args.pretrain_iters, seed=args.seed,
+        ).validate()
+    except ValueError as exc:  # validate() names the field first; name its flag instead
+        field, rule = str(exc).split(" ", 1)
+        flags = {"lam": lam_flag, "max_iter": "--max-iter", "tol": "--tol",
+                 "kmeans_restarts": "--restarts", "pretrain_iters": "--pretrain-iters"}
+        raise ValueError(f"{flags[field]} {rule}") from None
 
 
 def _map(fn, items, threads):
@@ -177,8 +187,8 @@ def _results_table(results, hp, norm, seed):
 
 def cmd_run(args) -> int:
     dataset, norm = _load_data(args)
-    dims = _parse_int_list(args.dims, "--dims")
-    hp = _hyper_params(args, args.lam, dims)
+    dims = _parse_list(args.dims, "--dims")
+    hp = _hyper_params(args, args.lam, dims, "--lambda")
     results = _run_repeats(dataset, hp, args.repeats, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,15 +226,14 @@ def cmd_grid(args) -> int:
             raise ValueError(f"--schemes entries must be p2 or p3, got {kind!r}")
     schemes = layer_schemes(
         dataset.k, kinds,
-        p2_l1=_parse_int_list(args.p2_l1, "--p2-l1"),
-        p3_l1=_parse_int_list(args.p3_l1, "--p3-l1"),
-        p3_l2=_parse_int_list(args.p3_l2, "--p3-l2"),
+        p2_l1=_parse_list(args.p2_l1, "--p2-l1"),
+        p3_l1=_parse_list(args.p3_l1, "--p3-l1"),
+        p3_l2=_parse_list(args.p3_l2, "--p3-l2"),
     )
-    lambdas = ([float(t) for t in args.lambdas.split(",") if t]
-               if args.lambdas else lambda_grid())
+    lambdas = _parse_list(args.lambdas, "--lambdas", float) if args.lambdas else lambda_grid()
     # Options are checked for every cell before any fit; only a layer scheme
     # that does not fit the data fails inside its own cell.
-    cells = [_hyper_params(args, lam, dims) for dims in schemes for lam in lambdas]
+    cells = [_hyper_params(args, lam, dims, "--lambdas") for dims in schemes for lam in lambdas]
 
     def run_cell(hp):
         try:
@@ -268,16 +277,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    ds = generate_synthetic(
-        n=args.n, k=args.k,
-        view_dims=_parse_int_list(args.view_dims, "--view-dims"),
-        noise_sigma=args.sigma, seed=args.seed,
-        nuisance_dim=args.nuisance_dim, nuisance_scale=args.nuisance_scale,
-        name=args.name,
-    )
-    manifest = save_dataset(
-        ds, args.out, fmt=args.format, normalization=args.norm or "l2-sample"
-    )
+    ds = generate_synthetic(**_parse_synthetic_spec(args.synthetic))
+    manifest = save_dataset(ds, args.out, fmt=args.format, normalization=args.norm)
     print(f"wrote {manifest}")
     return 0
 
@@ -293,10 +294,7 @@ def cmd_eval(args) -> int:
 
 def _add_data_args(p):
     p.add_argument("--manifest", help="dataset manifest path")
-    p.add_argument(
-        "--synthetic",
-        help="inline synthetic dataset, e.g. n=300,k=3,dims=40/60/80,sigma=0.1,seed=7",
-    )
+    p.add_argument("--synthetic", help=SYNTHETIC_HELP)
     p.add_argument("--norm", choices=list(NORMALIZATION_SCHEMES), default=None,
                    help="normalization override (default: manifest tag or l2-sample)")
 
@@ -345,16 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--view-dims", required=True, help="comma-separated view dimensions")
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nuisance-dim", type=int, default=0)
-    p.add_argument("--nuisance-scale", type=float, default=1.0)
-    p.add_argument("--name", default="synth")
+    p.add_argument("--synthetic", required=True, help=SYNTHETIC_HELP)
     p.add_argument("--format", choices=["binary", "text"], default="binary")
-    p.add_argument("--norm", choices=list(NORMALIZATION_SCHEMES), default=None,
+    p.add_argument("--norm", choices=list(NORMALIZATION_SCHEMES), default="l2-sample",
                    help="normalization tag recorded in the manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)

@@ -93,11 +93,19 @@ class Manifest:
         for key in ("name", "k", "sample_count", "views"):
             if key not in raw:
                 raise ValueError(f"manifest {path}: missing field {key!r}")
+        if not isinstance(raw["views"], list):
+            raise ValueError(f"manifest {path}: views must be a list, got {raw['views']!r}")
+        views = []
+        for i, v in enumerate(raw["views"]):
+            try:
+                views.append({"path": str(v["path"]), "dim": int(v["dim"])})
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"manifest {path}: view {i} needs path and integer dim: {v!r}") from exc
         m = cls(
             name=str(raw["name"]),
             k=int(raw["k"]),
             sample_count=int(raw["sample_count"]),
-            views=[{"path": str(v["path"]), "dim": int(v["dim"])} for v in raw["views"]],
+            views=views,
             truth=raw.get("truth"),
             normalization=raw.get("normalization", "l2-sample"),
         )

@@ -36,12 +36,11 @@ class FusionState:
         }
 
 
-def update_consensus(partitions, rotations, beta, prev_h):
+def update_consensus(partitions, rotations, beta):
     """Best row-orthonormal h for the weighted alignment sum.
 
     Maximizes tr(h @ sum_v beta_v partition_v.T @ rotation_v). Returns
-    (h, degenerate); on a rank-deficient alignment sum the previous h is
-    returned unchanged when one is supplied.
+    (h, degenerate); callers keep their previous h on a rank-deficient sum.
     """
     if len(partitions) == 0 or len(partitions) != len(rotations):
         raise ValueError("need one partition and one rotation per view")
@@ -56,10 +55,7 @@ def update_consensus(partitions, rotations, beta, prev_h):
         if w.shape != (k, k):
             raise ValueError(f"rotation shape {w.shape} does not match {(k, k)}")
         u += b * (hm.T @ w)
-    h, degenerate = procrustes_max(u)
-    if degenerate and prev_h is not None:
-        return prev_h, True
-    return h, degenerate
+    return procrustes_max(u)
 
 
 def update_rotation(partition, consensus, beta_v: float):

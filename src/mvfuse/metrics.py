@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+# Cap on Lloyd iterations per restart when labels never reach a fixed point.
+LLOYD_MAX_ITER = 300
+
 
 def _sqdist(points, centers):
     # ||x - c||^2 via the expanded form; clamp tiny negatives from cancellation
@@ -33,11 +36,11 @@ def _plusplus_centers(points, k, rng):
     return centers
 
 
-def _lloyd(points, centers, max_iter):
+def _lloyd(points, centers):
     n, k = points.shape[0], centers.shape[0]
     centers = centers.copy()
     prev = None
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = _sqdist(points, centers)
         labels = np.argmin(d2, axis=1)  # ties break to the lowest center index
         nearest = d2[np.arange(n), labels]
@@ -57,7 +60,7 @@ def _lloyd(points, centers, max_iter):
     return labels, float(nearest.sum())
 
 
-def kmeans(points, k: int, restarts: int = 1, seed: int = 0, max_iter: int = 300):
+def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     """Lloyd's algorithm with k-means++ seeding.
 
     Runs `restarts` independent seedings (restart r uses seed + r) and returns
@@ -77,7 +80,7 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0, max_iter: int = 300
     best_labels, best_inertia = None, np.inf
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        labels, inertia = _lloyd(points, _plusplus_centers(points, k, rng), max_iter)
+        labels, inertia = _lloyd(points, _plusplus_centers(points, k, rng))
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

@@ -50,16 +50,15 @@ class HyperParams:
     seed: int = 0
 
     def validate(self) -> "HyperParams":
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
-        if self.pretrain_iters < 0:
-            raise ValueError("pretrain_iters must be >= 0")
+        for name, ok, rule in (
+            ("lam", self.lam >= 0, ">= 0"),
+            ("max_iter", self.max_iter >= 1, ">= 1"),
+            ("tol", self.tol > 0, "> 0"),
+            ("kmeans_restarts", self.kmeans_restarts >= 1, ">= 1"),
+            ("pretrain_iters", self.pretrain_iters >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         return self
 
 
@@ -122,7 +121,7 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     w = [np.eye(k) for _ in range(nviews)]
     alpha = np.full(nviews, 1.0 / nviews)
     beta = np.full(nviews, 1.0 / np.sqrt(nviews))
-    h, _ = update_consensus([vf.h[-1] for vf in views], w, beta, prev_h=None)
+    h, _ = update_consensus([vf.h[-1] for vf in views], w, beta)
     return views, FusionState(h=h, w=w, alpha=alpha, beta=beta)
 
 
@@ -160,13 +159,14 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
     """
     views, state = init_state(dataset, hp)
     history = []
-    objectives = []
     for it in range(hp.max_iter):
         stage = "consensus"
         try:
-            state.h, consensus_degenerate = update_consensus(
-                [vf.h[-1] for vf in views], state.w, state.beta, prev_h=state.h
+            h, consensus_degenerate = update_consensus(
+                [vf.h[-1] for vf in views], state.w, state.beta
             )
+            if not consensus_degenerate:
+                state.h = h
             stage = "view sweep"
             for v, vf in enumerate(views):
                 sweep_view(vf, state.h, state.w[v], state.alpha[v], state.beta[v], hp.lam)
@@ -191,8 +191,7 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
         history.append(
             _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate, it)
         )
-        objectives.append(obj)
-        if len(objectives) >= 2 and check_convergence(objectives, hp.tol):
+        if it > 0 and check_convergence([rec.objective for rec in history[-2:]], hp.tol):
             break
     labels = kmeans(
         state.h.T, dataset.k, restarts=hp.kmeans_restarts, seed=hp.seed

@@ -61,12 +61,13 @@ def init_layer(x, width: int, seed: int = 0) -> LayerFactors:
 
 
 def fit_layer(x, width: int, iters: int = 50, seed: int = 0) -> LayerFactors:
-    """Alternate the exact z refit and the multiplicative h step."""
+    """Alternate h steps and exact z refits; init_layer's z is already fit to the seeded h."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
     factors = init_layer(x, width, seed=seed)
     z, h = factors.z, factors.h
-    for _ in range(iters):
-        z = x @ pinv(h)
+    for t in range(iters):
+        if t > 0:
+            z = x @ pinv(h)
         h = multiplicative_step(x, z, h)
     return LayerFactors(z=z, h=h)

@@ -1,13 +1,28 @@
+import json
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mvfuse.cli import (
     _parse_synthetic_spec,
+    build_parser,
     lambda_grid,
     layer_schemes,
     main,
 )
-from mvfuse.data import Manifest, load_dataset, read_matrix, write_labels
+from mvfuse.data import (
+    Manifest,
+    generate_synthetic,
+    load_dataset,
+    read_matrix,
+    save_dataset,
+    write_labels,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SMALL_SPEC = "n=40,k=3,dims=10/14,sigma=0.05,seed=7"
 SMALL_RUN = [
@@ -53,6 +68,8 @@ def test_parse_synthetic_spec():
         _parse_synthetic_spec("n=60,k=4")
     with pytest.raises(ValueError, match="key=value"):
         _parse_synthetic_spec("n=60,k")
+    with pytest.raises(ValueError, match="synthetic spec key 'dims'"):
+        _parse_synthetic_spec("n=60,k=4,dims=10/x")
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +78,8 @@ def test_parse_synthetic_spec():
 
 def test_synth_writes_loadable_dataset(tmp_path, capsys):
     code = main([
-        "synth", "--n", "40", "--k", "3", "--view-dims", "8,12",
-        "--sigma", "0.1", "--seed", "5", "--out", str(tmp_path / "ds"),
+        "synth", "--synthetic", "n=40,k=3,dims=8/12,sigma=0.1,seed=5",
+        "--out", str(tmp_path / "ds"),
     ])
     assert code == 0
     assert "manifest.json" in capsys.readouterr().out
@@ -73,7 +90,7 @@ def test_synth_writes_loadable_dataset(tmp_path, capsys):
 
 
 def test_synth_regeneration_is_byte_identical(tmp_path):
-    argv = ["synth", "--n", "30", "--k", "2", "--view-dims", "6", "--seed", "9"]
+    argv = ["synth", "--synthetic", "n=30,k=2,dims=6,seed=9"]
     assert main(argv + ["--out", str(tmp_path / "a")]) == 0
     assert main(argv + ["--out", str(tmp_path / "b")]) == 0
     for name in ("manifest.json", "view0.mvm", "truth.txt"):
@@ -82,12 +99,35 @@ def test_synth_regeneration_is_byte_identical(tmp_path):
 
 def test_synth_text_format(tmp_path):
     code = main([
-        "synth", "--n", "30", "--k", "2", "--view-dims", "6",
+        "synth", "--synthetic", "n=30,k=2,dims=6",
         "--format", "text", "--out", str(tmp_path / "ds"),
     ])
     assert code == 0
     m = Manifest.load(tmp_path / "ds" / "manifest.json")
     assert m.views[0]["path"] == "view0.txt"
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_synth_writes_the_bytes_of_save_dataset(tmp_path, fmt):
+    spec = "n=40,k=3,dims=8/12,sigma=0.2,seed=5,nuisance-dim=2,nuisance-scale=1.5,name=demo"
+    kwargs = dict(n=40, k=3, view_dims=[8, 12], noise_sigma=0.2, seed=5,
+                  nuisance_dim=2, nuisance_scale=1.5, name="demo")
+    assert main(["synth", "--synthetic", spec, "--format", fmt,
+                 "--norm", "minmax-feature", "--out", str(tmp_path / "cli")]) == 0
+    save_dataset(generate_synthetic(**kwargs), tmp_path / "lib", fmt=fmt,
+                 normalization="minmax-feature")
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_synth_rejects_the_retired_generator_flags(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--n", "40", "--k", "3", "--view-dims", "8,12",
+              "--out", str(tmp_path / "ds")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "ds").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +197,7 @@ def test_fit_commands_reject_nonpositive_threads(tmp_path, capsys, command, thre
 
 def test_norm_column_names_the_scheme_the_manifest_applied(tmp_path):
     assert main([
-        "synth", "--n", "40", "--k", "3", "--view-dims", "10,14", "--seed", "7",
+        "synth", "--synthetic", "n=40,k=3,dims=10/14,seed=7",
         "--norm", "minmax-feature", "--out", str(tmp_path / "ds"),
     ]) == 0
     data = ["--manifest", str(tmp_path / "ds" / "manifest.json")]
@@ -184,6 +224,26 @@ def test_run_rejects_ambiguous_data_source(tmp_path, capsys):
     ])
     assert code == 2
     assert "exactly one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("views, named", [
+    ([{"path": "view0.mvm"}], "view 0 needs path and integer dim"),
+    ([{"dim": 8}], "view 0 needs path and integer dim"),
+    ([{"path": "view0.mvm", "dim": 8}, {"path": "view1.mvm", "dim": "wide"}], "view 1 needs"),
+    (["view0.mvm"], "view 0 needs"),
+    ({"path": "view0.mvm", "dim": 8}, "views must be a list"),
+])
+def test_run_rejects_malformed_manifest_views(tmp_path, capsys, views, named):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"name": "x", "k": 3, "sample_count": 40, "views": views}))
+    code = main([
+        "run", "--manifest", str(manifest),
+        "--lambda", "1", "--dims", "6,3", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {manifest}: ") and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_reports_missing_manifest(tmp_path, capsys):
@@ -238,23 +298,53 @@ def test_grid_records_failed_cells(tmp_path, capsys):
     assert ok["error"] == ""
 
 
-@pytest.mark.parametrize("option, field", [
+# Each out-of-range option with the HyperParams field it sets; the error names
+# the flag the user typed, never the field.
+OUT_OF_RANGE_OPTIONS = [
     (["--max-iter", "0"], "max_iter"),
     (["--restarts", "0"], "kmeans_restarts"),
     (["--tol", "0"], "tol"),
     (["--pretrain-iters", "-1"], "pretrain_iters"),
     (["--lambdas=1,-0.5"], "lam"),
-])
+]
+
+
+def _assert_names_flag(tmp_path, capsys, argv, flag, field=None):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} ")
+    assert field is None or field not in captured.err.split()
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option, field", OUT_OF_RANGE_OPTIONS)
 def test_grid_rejects_out_of_range_fit_options_before_any_fit(tmp_path, capsys, option, field):
     argv = [
         "grid", "--synthetic", SMALL_SPEC, "--lambdas", "1", "--schemes", "p2",
         "--p2-l1", "2", "--repeats", "1", "--max-iter", "5", "--restarts", "2",
     ]
-    assert main(argv + option + ["--out", str(tmp_path / "grid")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and field in captured.err
-    assert captured.out == ""
-    assert not (tmp_path / "grid").exists()
+    _assert_names_flag(tmp_path, capsys, argv + option, option[0].split("=")[0], field)
+
+
+@pytest.mark.parametrize("option, field", [
+    (["--lambda", "-0.5"] if field == "lam" else option, field)
+    for option, field in OUT_OF_RANGE_OPTIONS
+])
+def test_run_rejects_out_of_range_fit_options_by_flag(tmp_path, capsys, option, field):
+    _assert_names_flag(tmp_path, capsys, SMALL_RUN + option, option[0], field)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["grid", "--synthetic", SMALL_SPEC, "--lambdas", "1,x"], "--lambdas"),
+    (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", "6,x"], "--dims"),
+    (["grid", "--synthetic", SMALL_SPEC, "--p2-l1", "2,y"], "--p2-l1"),
+    (["run", "--synthetic", "n=abc,k=3,dims=10/14", "--lambda", "1", "--dims", "6,3"],
+     "synthetic spec key 'n'"),
+    (["grid", "--synthetic", "n=40,k=3,dims=10/14,sigma=wide"], "synthetic spec key 'sigma'"),
+])
+def test_fit_commands_name_the_flag_of_an_unparsable_value(tmp_path, capsys, argv, flag):
+    _assert_names_flag(tmp_path, capsys, argv, flag)
 
 
 def test_grid_file_does_not_depend_on_thread_count(tmp_path):
@@ -301,3 +391,16 @@ def test_eval_reports_missing_files(tmp_path, capsys):
     ])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_readme_command_lines_parse():
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.S | re.M)
+    text = "\n".join(blocks).replace("\\\n", " ")  # join continued lines
+    commands = [shlex.split(line) for line in text.splitlines() if line.startswith("mvfuse ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

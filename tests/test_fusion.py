@@ -38,7 +38,7 @@ def _alignment_sum(partitions, rotations, beta):
 def test_consensus_is_row_orthonormal():
     rng = np.random.default_rng(31)
     partitions, rotations = _random_views(rng, v=3)
-    h, degenerate = update_consensus(partitions, rotations, [0.5, 0.3, 0.2], None)
+    h, degenerate = update_consensus(partitions, rotations, [0.5, 0.3, 0.2])
     assert not degenerate
     assert np.allclose(h @ h.T, np.eye(3), atol=1e-12)
 
@@ -49,7 +49,7 @@ def test_consensus_beats_random_orthonormal_candidates():
     rng = np.random.default_rng(37)
     partitions, rotations = _random_views(rng, v=2)
     beta = np.array([0.6, 0.8])
-    h, _ = update_consensus(partitions, rotations, beta, None)
+    h, _ = update_consensus(partitions, rotations, beta)
     u = _alignment_sum(partitions, rotations, beta)
     best = float(np.sum(h * u.T))
     for _ in range(2000):
@@ -62,25 +62,16 @@ def test_consensus_recovers_single_aligned_view_exactly():
     # and attains the trace bound k, so the consensus must equal it.
     rng = np.random.default_rng(41)
     hm = _row_orthonormal(rng, 3, 25)
-    h, degenerate = update_consensus([hm], [np.eye(3)], [1.0], None)
+    h, degenerate = update_consensus([hm], [np.eye(3)], [1.0])
     assert not degenerate
     assert np.allclose(h, hm, atol=1e-10)
     assert np.isclose(float(np.sum(h * hm)), 3.0)
 
 
-def test_consensus_keeps_previous_iterate_on_zero_weights():
-    rng = np.random.default_rng(43)
-    partitions, rotations = _random_views(rng)
-    prev = _row_orthonormal(rng, 3, 20)
-    h, degenerate = update_consensus(partitions, rotations, [0.0, 0.0], prev)
-    assert degenerate
-    assert h is prev
-
-
 def test_consensus_degenerate_without_fallback_still_orthonormal():
     rng = np.random.default_rng(47)
     partitions, rotations = _random_views(rng)
-    h, degenerate = update_consensus(partitions, rotations, [0.0, 0.0], None)
+    h, degenerate = update_consensus(partitions, rotations, [0.0, 0.0])
     assert degenerate
     assert np.allclose(h @ h.T, np.eye(3), atol=1e-12)
 
@@ -89,16 +80,16 @@ def test_consensus_validates_inputs():
     rng = np.random.default_rng(53)
     partitions, rotations = _random_views(rng)
     with pytest.raises(ValueError):
-        update_consensus([], [], [], None)
+        update_consensus([], [], [])
     with pytest.raises(ValueError):
-        update_consensus(partitions, rotations[:1], [0.5, 0.5], None)
+        update_consensus(partitions, rotations[:1], [0.5, 0.5])
     with pytest.raises(ValueError):
-        update_consensus(partitions, rotations, [0.5], None)
+        update_consensus(partitions, rotations, [0.5])
     bad = [partitions[0], rng.uniform(size=(3, 21))]
     with pytest.raises(ValueError):
-        update_consensus(bad, rotations, [0.5, 0.5], None)
+        update_consensus(bad, rotations, [0.5, 0.5])
     with pytest.raises(ValueError):
-        update_consensus(partitions, [rotations[0], np.eye(4)], [0.5, 0.5], None)
+        update_consensus(partitions, [rotations[0], np.eye(4)], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

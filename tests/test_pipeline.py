@@ -184,3 +184,23 @@ def test_fit_computes_each_view_loss_once_per_iteration(monkeypatch):
     ds = _small_dataset()
     res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
     assert len(calls) == ds.num_views * res.iterations_run
+
+
+def test_fit_keeps_previous_consensus_on_degenerate_step(monkeypatch):
+    # Every consensus step after init_state's is flagged degenerate, so the
+    # consensus init_state chose must survive every iteration unchanged.
+    real = pipeline_module.update_consensus
+    first = []
+
+    def flagged(*args):
+        h, degenerate = real(*args)
+        if not first:
+            first.append(h)
+            return h, degenerate
+        return h, True
+
+    monkeypatch.setattr(pipeline_module, "update_consensus", flagged)
+    res = fit(_small_dataset(), HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
+    assert res.iterations_run == 5
+    assert all(rec.consensus_degenerate for rec in res.history)
+    assert res.h is first[0]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mvfuse.seminmf as seminmf_module
+from mvfuse.linalg import pinv
 from mvfuse.seminmf import fit_layer, init_layer, multiplicative_step
 
 
@@ -93,8 +95,6 @@ def test_fit_layer_monotone_per_step():
 def test_fit_layer_matches_manual_alternation():
     rng = np.random.default_rng(131)
     x = rng.standard_normal((14, 33))
-    from mvfuse.linalg import pinv
-
     factors = init_layer(x, 4, seed=7)
     z, h = factors.z, factors.h
     for _ in range(12):
@@ -103,6 +103,20 @@ def test_fit_layer_matches_manual_alternation():
     got = fit_layer(x, 4, iters=12, seed=7)
     assert np.array_equal(got.z, z)
     assert np.array_equal(got.h, h)
+
+
+@pytest.mark.parametrize("iters", [1, 12])
+def test_fit_layer_makes_one_pinv_call_per_iteration(monkeypatch, iters):
+    # init_layer's pinv already fits z to the seeded h; the first pass reuses it.
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return pinv(a)
+
+    monkeypatch.setattr(seminmf_module, "pinv", counting)
+    fit_layer(np.random.default_rng(133).standard_normal((14, 33)), 4, iters=iters, seed=7)
+    assert len(calls) == iters
 
 
 def test_fit_layer_planted_recovery():
