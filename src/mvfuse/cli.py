@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -300,12 +300,14 @@ def _add_data_args(p):
 
 
 def _add_fit_args(p):
-    p.add_argument("--max-iter", type=int, default=150)
-    p.add_argument("--tol", type=float, default=1e-6)
+    defaults = {f.name: f.default for f in fields(HyperParams)}
+    p.add_argument("--max-iter", type=int, default=defaults["max_iter"])
+    p.add_argument("--tol", type=float, default=defaults["tol"])
     p.add_argument("--repeats", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=50, help="k-means restarts")
-    p.add_argument("--pretrain-iters", type=int, default=50)
+    p.add_argument("--seed", type=int, default=defaults["seed"])
+    p.add_argument("--restarts", type=int, default=defaults["kmeans_restarts"],
+                   help="k-means restarts")
+    p.add_argument("--pretrain-iters", type=int, default=defaults["pretrain_iters"])
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -314,10 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvfuse",
         description="Multi-view clustering via layered semi-NMF and partition alignment",
+        allow_abbrev=False,  # a prefix such as --lam must not stand in for --lambda
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="fit one configuration over repeated seeds")
+    p = sub.add_parser("run", help="fit one configuration over repeated seeds", allow_abbrev=False)
     _add_data_args(p)
     _add_fit_args(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True,
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the best consensus matrix")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("grid", help="sweep the lambda grid x layer schemes")
+    p = sub.add_parser("grid", help="sweep the lambda grid x layer schemes", allow_abbrev=False)
     _add_data_args(p)
     _add_fit_args(p)
     p.add_argument("--lambdas", default=None,
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second-layer multipliers for three-layer schemes")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
+    p = sub.add_parser("synth", help="generate a synthetic dataset on disk", allow_abbrev=False)
     p.add_argument("--synthetic", required=True, help=SYNTHETIC_HELP)
     p.add_argument("--format", choices=["binary", "text"], default="binary")
     p.add_argument("--norm", choices=list(NORMALIZATION_SCHEMES), default="l2-sample",
@@ -350,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("eval", help="score a predicted labeling against ground truth")
+    p = sub.add_parser("eval", help="score a predicted labeling against ground truth",
+                       allow_abbrev=False)
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.set_defaults(func=cmd_eval)

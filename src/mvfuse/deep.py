@@ -117,9 +117,11 @@ def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam
 
 def reconstruction_loss(vf: ViewFactorization) -> float:
     """||x - z_1 ... z_m h_m||_F^2 for the current factors."""
-    rebuilt = _left_product(vf.z, vf.depth - 1) @ vf.h[-1]
-    diff = vf.x - rebuilt
-    return float(np.sum(diff * diff))
+    # one d x n buffer: the residual and its square overwrite the rebuild
+    residual = _left_product(vf.z, vf.depth - 1) @ vf.h[-1]
+    np.subtract(vf.x, residual, out=residual)
+    np.square(residual, out=residual)
+    return float(np.sum(residual))
 
 
 def fix_partition_gauge(vf: ViewFactorization) -> None:

@@ -9,16 +9,6 @@ from scipy.optimize import linear_sum_assignment
 LLOYD_MAX_ITER = 300
 
 
-def _sqdist(points, centers):
-    # ||x - c||^2 via the expanded form; clamp tiny negatives from cancellation
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        + np.sum(centers**2, axis=1)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    return np.maximum(d2, 0.0)
-
-
 def _plusplus_centers(points, k, rng):
     """k-means++ seeding: first center uniform, the rest D^2-weighted."""
     n = points.shape[0]
@@ -36,27 +26,41 @@ def _plusplus_centers(points, k, rng):
     return centers
 
 
-def _lloyd(points, centers):
+def _lloyd(points, rows, centers):
+    """Lloyd iterations from `centers`; `rows` is a row-major copy of `points`.
+
+    The distances are computed on `points` as the caller laid them out, because
+    the summation order of a row reduction or a matmul follows the memory
+    layout; only the centroid gathers read `rows`.
+    """
     n, k = points.shape[0], centers.shape[0]
     centers = centers.copy()
+    # ||x - c||^2 = ||x||^2 + ||c||^2 - 2 x.c; the first and last terms never change
+    sq_points = np.sum(points**2, axis=1)[:, None]
+    twice = 2.0 * points
     prev = None
     for _ in range(LLOYD_MAX_ITER):
-        d2 = _sqdist(points, centers)
+        d2 = sq_points + np.sum(centers**2, axis=1)[None, :]
+        d2 -= twice @ centers.T
+        np.maximum(d2, 0.0, out=d2)  # clamp tiny negatives from cancellation
         labels = np.argmin(d2, axis=1)  # ties break to the lowest center index
         nearest = d2[np.arange(n), labels]
-        for c in range(k):
-            if not np.any(labels == c):
-                # empty cluster: reseed at the point farthest from its center
-                far = int(np.argmax(nearest))
-                centers[c] = points[far]
-                d2[:, c] = np.sum((points - centers[c]) ** 2, axis=1)
-                labels = np.argmin(d2, axis=1)
-                nearest = d2[np.arange(n), labels]
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            for c in range(k):
+                if not np.any(labels == c):
+                    # empty cluster: reseed at the point farthest from its center
+                    far = int(np.argmax(nearest))
+                    centers[c] = points[far]
+                    d2[:, c] = np.sum((points - centers[c]) ** 2, axis=1)
+                    labels = np.argmin(d2, axis=1)
+                    nearest = d2[np.arange(n), labels]
+            counts = np.bincount(labels, minlength=k)
         if prev is not None and np.array_equal(labels, prev):
             break
         prev = labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
+        for c in np.flatnonzero(counts):  # a cluster left empty keeps its reseeded center
+            centers[c] = rows[labels == c].mean(axis=0)
     return labels, float(nearest.sum())
 
 
@@ -77,10 +81,11 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    rows = np.ascontiguousarray(points)
     best_labels, best_inertia = None, np.inf
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        labels, inertia = _lloyd(points, _plusplus_centers(points, k, rng))
+        labels, inertia = _lloyd(points, rows, _plusplus_centers(points, k, rng))
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

@@ -21,6 +21,7 @@ from mvfuse.data import (
     save_dataset,
     write_labels,
 )
+from mvfuse.pipeline import HyperParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -128,6 +129,29 @@ def test_synth_rejects_the_retired_generator_flags(tmp_path):
               "--out", str(tmp_path / "ds")])
     assert exc.value.code == 2
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [a if a != "--lambda" else "--lam" for a in SMALL_RUN],
+    SMALL_RUN + ["--max", "2"],
+], ids=["--lam", "--max"])
+def test_fit_flags_must_be_spelled_out(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_fit_flag_defaults_are_the_hyperparams_defaults(command):
+    argv = [command, "--synthetic", SMALL_SPEC, "--out", "out"]
+    if command == "run":
+        argv += ["--lambda", "1", "--dims", "6,3"]
+    args = build_parser().parse_args(argv)
+    hp = HyperParams(lam=1.0, dims=[6, 3])
+    assert (args.max_iter, args.tol, args.restarts, args.pretrain_iters, args.seed) == (
+        hp.max_iter, hp.tol, hp.kmeans_restarts, hp.pretrain_iters, hp.seed
+    )
 
 
 # ---------------------------------------------------------------------------

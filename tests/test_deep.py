@@ -312,6 +312,22 @@ def test_reconstruction_loss_matches_direct_recomputation():
     assert abs(reconstruction_loss(vf) - direct) <= 1e-10 * max(1.0, direct)
 
 
+def test_reconstruction_loss_is_the_plain_sum_bit_for_bit_and_leaves_factors_alone():
+    rng = np.random.default_rng(257)
+    for depth, layout in [(1, "C"), (2, "C"), (3, "C"), (2, "F"), (3, "F")]:
+        dims = (9, 5, 2)[-depth:]
+        vf = _random_vf(rng, d=13, dims=dims, n=31)
+        vf.x = np.asarray(vf.x, order=layout)
+        before = [vf.x.copy()] + [a.copy() for a in vf.z + vf.h]
+        phi = vf.z[0]
+        for z in vf.z[1:]:
+            phi = phi @ z
+        expected = float(np.sum((vf.x - phi @ vf.h[-1]) ** 2))
+        assert reconstruction_loss(vf) == expected
+        for old, new in zip(before, [vf.x] + vf.z + vf.h):
+            assert np.array_equal(old, new)
+
+
 # ---------------------------------------------------------------------------
 # full sweep
 

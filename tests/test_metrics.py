@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mvfuse.metrics import (
+    _lloyd,
     accuracy,
     contingency,
     hungarian,
@@ -26,6 +28,78 @@ def within_cluster_ss(points, labels) -> float:
         member = points[labels == c]
         total += float(np.sum((member - member.mean(axis=0)) ** 2))
     return total
+
+
+# The k-means as it was before the distance terms left the Lloyd loop, kept
+# verbatim: kmeans must return its labels bit for bit wherever its centers
+# stay finite.
+
+
+def _reference_sqdist(points, centers):
+    d2 = (
+        np.sum(points**2, axis=1)[:, None]
+        + np.sum(centers**2, axis=1)[None, :]
+        - 2.0 * points @ centers.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _reference_plusplus_centers(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def _reference_lloyd(points, centers, max_iter=300):
+    n, k = points.shape[0], centers.shape[0]
+    centers = centers.copy()
+    prev = None
+    for _ in range(max_iter):
+        d2 = _reference_sqdist(points, centers)
+        labels = np.argmin(d2, axis=1)
+        nearest = d2[np.arange(n), labels]
+        for c in range(k):
+            if not np.any(labels == c):
+                far = int(np.argmax(nearest))
+                centers[c] = points[far]
+                d2[:, c] = np.sum((points - centers[c]) ** 2, axis=1)
+                labels = np.argmin(d2, axis=1)
+                nearest = d2[np.arange(n), labels]
+        if prev is not None and np.array_equal(labels, prev):
+            break
+        prev = labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return labels, float(nearest.sum())
+
+
+def reference_kmeans(points, k, restarts=1, seed=0):
+    """Labels of the reference, or None when one of its centers became NaN."""
+    points = np.asarray(points, dtype=np.float64)
+    best_labels, best_inertia = None, np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the mean of an empty cluster
+        try:
+            for r in range(restarts):
+                rng = np.random.default_rng(seed + r)
+                labels, inertia = _reference_lloyd(
+                    points, _reference_plusplus_centers(points, k, rng)
+                )
+                if inertia < best_inertia:
+                    best_labels, best_inertia = labels, inertia
+        except RuntimeWarning:
+            return None
+    return best_labels
 
 
 def brute_force_assignment(cost):
@@ -140,6 +214,79 @@ def test_kmeans_validates():
         kmeans(np.ones((3, 2)), 4)
     with pytest.raises(ValueError):
         kmeans(np.ones((3, 2)), 2, restarts=0)
+
+
+def _kmeans_cases(rng):
+    """Points as fit passes them (F-ordered views) and as a caller may (C-ordered)."""
+    for _ in range(60):
+        n = int(rng.integers(2, 200))
+        d = int(rng.integers(1, 40))
+        k = int(rng.choice([1, 2, 3, max(1, n // 4), n - 1, n]))
+        kind = rng.integers(3)
+        if kind == 0:
+            points = rng.standard_normal((d, n)).T
+        elif kind == 1:  # duplicated rows
+            m = max(1, n // 3)
+            points = rng.standard_normal((m, d))[rng.integers(m, size=n)]
+        else:  # a coarse grid: exact ties in the distances
+            points = rng.integers(0, 3, size=(d, n)).astype(np.float64).T / 10.0
+        yield points, k
+        yield np.ascontiguousarray(points), k
+
+
+def test_kmeans_labels_equal_the_reference_bit_for_bit():
+    rng = np.random.default_rng(29)
+    compared = total = 0
+    for points, k in _kmeans_cases(rng):
+        seed, restarts = int(rng.integers(1000)), int(rng.integers(1, 4))
+        expected = reference_kmeans(points, k, restarts=restarts, seed=seed)
+        total += 1
+        if expected is None:
+            continue
+        compared += 1
+        assert np.array_equal(kmeans(points, k, restarts=restarts, seed=seed), expected)
+    assert compared >= 0.8 * total
+
+
+def test_lloyd_matches_the_reference_from_far_off_starts():
+    # k-means++ starts rarely empty a cluster; starts away from the data empty
+    # several at once, so the reseed branch runs
+    rng = np.random.default_rng(37)
+    compared = reseeded = 0
+    for points, k in _kmeans_cases(rng):
+        centers = 3.0 + 4.0 * rng.standard_normal((k, points.shape[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                expected = _reference_lloyd(points, centers)
+            except RuntimeWarning:
+                continue
+        got = _lloyd(points, np.ascontiguousarray(points), centers)
+        assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+        compared += 1
+        reseeded += len(np.unique(_reference_sqdist(points, centers).argmin(axis=1))) < k
+    assert compared >= 60 and reseeded >= 30
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kmeans_all_equal_points():
+    labels = kmeans(np.full((20, 3), 0.5), 4, restarts=3, seed=0)
+    assert labels is not None
+    assert np.all((0 <= labels) & (labels < 4))
+    assert np.all(labels == labels[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kmeans_fewer_distinct_points_than_clusters():
+    distinct = np.random.default_rng(31).standard_normal((5, 3))
+    points = np.repeat(distinct, 4, axis=0)
+    for seed in range(4):
+        labels = kmeans(points, 8, restarts=3, seed=seed)
+        assert labels is not None
+        assert np.all((0 <= labels) & (labels < 8))
+        groups = labels.reshape(5, 4)
+        assert np.all(groups == groups[:, :1])  # equal points share a cluster
+        assert len(set(groups[:, 0].tolist())) == 5
 
 
 # ---------------------------------------------------------------------------

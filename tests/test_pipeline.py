@@ -109,6 +109,16 @@ def test_fit_single_iteration_contract():
     assert res.h.shape == (3, ds.n)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_with_an_all_zero_view_names_the_collapse():
+    # every column of the zero view coincides, so its k-means seeding has
+    # fewer distinct points than clusters
+    ds = _small_dataset()
+    ds.views[0] = np.zeros_like(ds.views[0])
+    with pytest.raises(NumericalError, match="partition matrix collapsed"):
+        fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
+
+
 def test_fit_without_truth_reports_no_scores():
     ds = _small_dataset()
     ds.truth = None
