@@ -60,6 +60,9 @@ class MultiViewDataset:
                 raise ValueError(
                     f"dataset {self.name!r}: view {i} has {x.shape[1]} samples, expected {n}"
                 )
+            if not x.any():
+                # its partition would collapse to zero during fine-tuning
+                raise ValueError(f"dataset {self.name!r}: view {i} is all zeros")
             self.views[i] = x
         if self.truth is not None:
             truth = np.asarray(self.truth, dtype=np.int64)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvfuse.linalg import NumericalError, as_matrix, pinv
-from mvfuse.seminmf import fit_layer, multiplicative_step
+from mvfuse.linalg import NumericalError, as_matrix, gram_inverse, pinv
+from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis
 
 
 @dataclass
@@ -61,41 +61,50 @@ def pretrain_view(x, dims, seed: int = 0, iters: int = 50) -> ViewFactorization:
     return vf
 
 
-def _left_product(zs, upto: int) -> np.ndarray:
-    """zs[0] @ ... @ zs[upto], folded left to right."""
+def _product(zs) -> np.ndarray:
+    """zs[0] @ ... @ zs[-1], folded left to right."""
     out = zs[0]
-    for z in zs[1 : upto + 1]:
+    for z in zs[1:]:
         out = out @ z
-    return out
-
-
-def _chain_below(vf: ViewFactorization, i: int) -> np.ndarray:
-    """z[i+1] @ ... @ z[m-1] @ h[m-1]: the reconstruction feeding layer i."""
-    out = vf.h[-1]
-    for z in reversed(vf.z[i + 1 :]):
-        out = z @ out
     return out
 
 
 def update_basis(vf: ViewFactorization, i: int) -> np.ndarray:
     """Least-squares refit of basis i against the reconstruction chain.
 
-    Minimizes ||x - (z_1..z_{i-1}) z_i (z_{i+1}..z_m h_m)|| over z_i alone,
-    so the full reconstruction loss never increases.
+    Minimizes ||x - L z_i C|| over z_i alone, with L = z_1..z_{i-1} and the
+    chain C = A h_m, A = z_{i+1}..z_m, so the full reconstruction loss never
+    increases. The exact minimizer is pinv(L) x pinv(C). At the last layer
+    C = h_m and x pinv(h_m) comes from refit_basis's k x k Gram. Above it C
+    is l x n of rank k, so its own Gram is singular; instead, when A has full
+    column rank and h_m full row rank, pinv(C) = pinv(h_m) pinv(A) =
+    h_m^T (h_m h_m^T)^-1 (A^T A)^-1 A^T, two small Grams. When either fails
+    gram_inverse's check (a zero row that the gauge fix leaves in h_m, or a
+    rank-deficient A), C gets its SVD pinv. The tall L, of rank k in
+    fine-tuning, always does.
     """
     if not 0 <= i < vf.depth:
         raise ValueError(f"layer index {i} out of range for depth {vf.depth}")
-    right = pinv(_chain_below(vf, i))
+    hm = vf.h[-1]
+    if i == vf.depth - 1:
+        out = refit_basis(vf.x, hm)
+    else:
+        a = _product(vf.z[i + 1 :])
+        inv_h, inv_a = gram_inverse(hm), gram_inverse(a.T)
+        if inv_h is None or inv_a is None:
+            out = vf.x @ pinv(a @ hm)
+        else:
+            out = (vf.x @ hm.T) @ inv_h @ inv_a @ a.T
     if i == 0:
-        return vf.x @ right
-    return pinv(_left_product(vf.z, i - 1)) @ vf.x @ right
+        return out
+    return pinv(_product(vf.z[:i])) @ out
 
 
 def update_hidden(vf: ViewFactorization, i: int) -> np.ndarray:
     """Multiplicative step on an intermediate representation h_i (i < m-1)."""
     if not 0 <= i < vf.depth - 1:
         raise ValueError("update_hidden applies to intermediate layers only")
-    phi = _left_product(vf.z, i)
+    phi = _product(vf.z[: i + 1])
     return multiplicative_step(vf.x, phi, vf.h[i])
 
 
@@ -108,7 +117,7 @@ def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    phi = _left_product(vf.z, vf.depth - 1)
+    phi = _product(vf.z)
     return multiplicative_step(
         vf.x, phi, vf.h[-1], weight=2.0 * alpha_v * alpha_v,
         pull=lam * beta_v * (rotation @ consensus),
@@ -118,7 +127,7 @@ def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam
 def reconstruction_loss(vf: ViewFactorization) -> float:
     """||x - z_1 ... z_m h_m||_F^2 for the current factors."""
     # one d x n buffer: the residual and its square overwrite the rebuild
-    residual = _left_product(vf.z, vf.depth - 1) @ vf.h[-1]
+    residual = _product(vf.z) @ vf.h[-1]
     np.subtract(vf.x, residual, out=residual)
     np.square(residual, out=residual)
     return float(np.sum(residual))

@@ -12,6 +12,11 @@ import numpy as np
 # rank-deficient for the trace maximizers.
 DEGENERACY_RTOL = 1e-12
 
+# Condition number of a Gram matrix above which a least-squares refit takes
+# the SVD pseudoinverse instead: the normal equations lose about
+# log10(condition) digits, where the SVD loses half as many.
+GRAM_COND_LIMIT = 1e10
+
 
 class NumericalError(RuntimeError):
     """A matrix routine failed to converge or produced unusable output."""
@@ -48,6 +53,24 @@ def pinv(a: np.ndarray) -> np.ndarray:
     keep = s > tol
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T
+
+
+def gram_inverse(a: np.ndarray) -> np.ndarray | None:
+    """inv(a @ a.T) from one symmetric eigendecomposition, or None.
+
+    None means the Gram is not finite or its condition number exceeds
+    GRAM_COND_LIMIT (a zero or repeated row of a gives an exactly singular
+    Gram); the caller then solves with pinv(a), which also raises on a
+    non-finite a. With a of full row rank, a.T @ gram_inverse(a) == pinv(a).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow only declines
+        gram = a @ a.T
+    if not np.all(np.isfinite(gram)):
+        return None
+    w, v = np.linalg.eigh(gram)
+    if not w[0] * GRAM_COND_LIMIT > w[-1]:
+        return None
+    return (v / w) @ v.T
 
 
 def pos_part(a: np.ndarray) -> np.ndarray:

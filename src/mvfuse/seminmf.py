@@ -1,7 +1,10 @@
 """Single-layer semi-NMF: x ~ z @ h with h >= 0 and z unconstrained.
 
 The h step is the multiplicative rule of Ding et al. (2010), which never
-increases ||x - z h||_F^2; the z step is the exact least-squares refit.
+increases ||x - z h||_F^2; the z step is the exact least-squares refit
+z = x pinv(h), computed as Ding et al. write it, x h^T (h h^T)^-1, through
+the small l x l Gram. An ill-conditioned or singular Gram (a zero or
+repeated row of h) falls back to the SVD pinv.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvfuse.linalg import as_matrix, neg_part, pinv, pos_part
+from mvfuse.linalg import as_matrix, gram_inverse, neg_part, pinv, pos_part
 from mvfuse.metrics import kmeans
 
 # Additive guard for the denominators of all multiplicative updates.
@@ -43,6 +46,14 @@ def multiplicative_step(x, basis, h, weight=1.0, pull=None):
     return h * np.sqrt(num / (den + EPS))
 
 
+def refit_basis(x, h) -> np.ndarray:
+    """The least-squares basis x @ pinv(h), through h's Gram when it passes gram_inverse."""
+    inv = gram_inverse(h)
+    if inv is None:
+        return x @ pinv(h)
+    return (x @ h.T) @ inv
+
+
 def init_layer(x, width: int, seed: int = 0) -> LayerFactors:
     """Seed one layer from k-means on the columns of x.
 
@@ -56,8 +67,7 @@ def init_layer(x, width: int, seed: int = 0) -> LayerFactors:
     labels = kmeans(x.T, width, restarts=INIT_KMEANS_RESTARTS, seed=seed)
     h = np.full((width, n), 0.2)
     h[labels, np.arange(n)] += 1.0
-    z = x @ pinv(h)
-    return LayerFactors(z=z, h=h)
+    return LayerFactors(z=refit_basis(x, h), h=h)
 
 
 def fit_layer(x, width: int, iters: int = 50, seed: int = 0) -> LayerFactors:
@@ -68,6 +78,6 @@ def fit_layer(x, width: int, iters: int = 50, seed: int = 0) -> LayerFactors:
     z, h = factors.z, factors.h
     for t in range(iters):
         if t > 0:
-            z = x @ pinv(h)
+            z = refit_basis(x, h)
         h = multiplicative_step(x, z, h)
     return LayerFactors(z=z, h=h)

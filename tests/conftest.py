@@ -1,5 +1,7 @@
 import pytest
 
+import mvfuse.deep as deep_module
+import mvfuse.seminmf as seminmf_module
 from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.pipeline import HyperParams, fit
 
@@ -35,3 +37,16 @@ def nuisance_dataset():
     subspace, so per-view structure misleads shallow factorizations."""
     ds = generate_synthetic(**BENCHMARK, nuisance_dim=9, nuisance_scale=2.0)
     return normalize_dataset(ds, "l2-sample")
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """Shapes of every SVD pinv that the basis refits in deep and seminmf take."""
+    calls = []
+    for module in (deep_module, seminmf_module):
+        def recording(a, original=module.pinv):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(module, "pinv", recording)
+    return calls

@@ -20,6 +20,7 @@ from mvfuse.data import (
     read_matrix,
     save_dataset,
     write_labels,
+    write_matrix,
 )
 from mvfuse.pipeline import HyperParams
 
@@ -267,6 +268,35 @@ def test_run_rejects_malformed_manifest_views(tmp_path, capsys, views, named):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: manifest {manifest}: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def _small_manifest(tmp_path, view0):
+    ds = generate_synthetic(n=40, k=3, view_dims=[10, 14], noise_sigma=0.05, seed=7)
+    manifest = save_dataset(ds, tmp_path / "data")
+    write_matrix(tmp_path / "data" / "view0.mvm", view0)
+    return manifest
+
+
+def _run_manifest(manifest, out):
+    return main([
+        "run", "--manifest", str(manifest), "--lambda", "1", "--dims", "6,3",
+        "--repeats", "1", "--max-iter", "10", "--restarts", "5", "--out", str(out),
+    ])
+
+
+def test_run_fits_a_constant_view(tmp_path):
+    # the constant view's refits take the SVD fallback
+    manifest = _small_manifest(tmp_path, np.full((10, 40), 0.5))
+    assert _run_manifest(manifest, tmp_path / "out") == 0
+    assert (tmp_path / "out" / "results.tsv").is_file()
+
+
+def test_run_names_an_all_zero_view(tmp_path, capsys):
+    manifest = _small_manifest(tmp_path, np.zeros((10, 40)))
+    assert _run_manifest(manifest, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "view 0 is all zeros" in err
     assert not (tmp_path / "out").exists()
 
 

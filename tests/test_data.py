@@ -285,6 +285,8 @@ def test_dataset_validation_errors():
     ragged = [good.views[0], good.views[1][:, :-1]]
     with pytest.raises(ValueError, match="view 1 has 29 samples"):
         MultiViewDataset(views=ragged, truth=None, k=3).validate()
+    with pytest.raises(ValueError, match="view 1 is all zeros"):
+        MultiViewDataset(views=[good.views[0], 0.0 * good.views[1]], truth=None, k=3).validate()
     with pytest.raises(ValueError, match="truth has shape"):
         MultiViewDataset(views=good.views, truth=good.truth[:-1], k=3).validate()
     bad_range = good.truth.copy()

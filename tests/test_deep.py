@@ -13,6 +13,7 @@ from mvfuse.deep import (
     update_partition,
     validate_layer_dims,
 )
+from mvfuse.linalg import pinv
 from mvfuse.metrics import accuracy, kmeans
 from mvfuse.seminmf import fit_layer
 
@@ -172,6 +173,50 @@ def test_update_basis_first_order_optimality():
             probe.z = list(vf.z)
             probe.z[i] = vf.z[i] + step
             assert reconstruction_loss(probe) >= base - 1e-10
+
+
+def _basis_oracle(vf, i):
+    """pinv(z_1..z_{i-1}) x pinv(z_{i+1}..z_m h_m), the refit's closed form."""
+    chain = vf.h[-1]
+    for z in reversed(vf.z[i + 1 :]):
+        chain = z @ chain
+    out = vf.x @ pinv(chain)
+    if i == 0:
+        return out
+    left = vf.z[0]
+    for z in vf.z[1:i]:
+        left = left @ z
+    return pinv(left) @ out
+
+
+@pytest.mark.parametrize("dims", [(7, 3), (9, 6, 3)])
+def test_update_basis_equals_the_pinv_oracle_through_small_grams(pinv_calls, dims):
+    rng = np.random.default_rng(221)
+    for _ in range(5):
+        vf = _random_vf(rng, d=14, dims=dims, n=35)
+        widths = [14, *dims]
+        for i in range(len(dims)):
+            got = update_basis(vf, i)
+            expect = _basis_oracle(vf, i)
+            assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+            vf.z[i] = got
+    # only the tall left factors z_1..z_{i-1} take an SVD
+    assert set(pinv_calls) == {(14, widths[i]) for i in range(1, len(dims))}
+
+
+@pytest.mark.parametrize("defect", ["zero partition row", "rank-deficient inner basis"])
+@pytest.mark.parametrize("dims", [(7, 3), (9, 6, 3)])
+def test_update_basis_takes_the_chain_pinv_when_the_split_does_not_hold(pinv_calls, dims, defect):
+    rng = np.random.default_rng(222)
+    vf = _random_vf(rng, d=14, dims=dims, n=35)
+    if defect == "zero partition row":
+        vf.h[-1][1] = 0.0
+    else:
+        vf.z[-1][:, 2] = vf.z[-1][:, 0]  # A = z_{i+1}..z_m loses full column rank
+    got = update_basis(vf, 0)
+    assert pinv_calls == [(dims[0], 35)]  # the l x n chain itself
+    expect = _basis_oracle(vf, 0)
+    assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
 def test_update_basis_rejects_bad_layer():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mvfuse.linalg import (
+    GRAM_COND_LIMIT,
+    gram_inverse,
     neg_part,
     pinv,
     pos_part,
@@ -77,6 +79,45 @@ def test_pinv_rank_deficient_penrose():
     p = pinv(a)
     assert np.linalg.norm(a @ p @ a - a) <= 1e-8
     assert np.linalg.norm(p @ a @ p - p) <= 1e-8
+
+
+def test_gram_inverse_gives_pinv_of_a_full_row_rank_matrix():
+    rng = np.random.default_rng(47)
+    for shape in [(1, 9), (4, 30), (12, 12)]:
+        a = rng.uniform(0.0, 1.0, size=shape)
+        inv = gram_inverse(a)
+        assert np.allclose(inv, inv.T, rtol=0, atol=1e-12 * np.abs(inv).max())
+        expect = pinv(a)
+        assert np.linalg.norm(a.T @ inv - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_inverse_declines_singular_and_non_finite_grams():
+    rng = np.random.default_rng(53)
+    a = rng.uniform(0.1, 1.0, size=(4, 20))
+    zero_row, repeated = a.copy(), a.copy()
+    zero_row[2] = 0.0
+    repeated[3] = repeated[1]
+    for bad in (zero_row, repeated, np.zeros((4, 20)), np.ones((4, 20))):
+        assert gram_inverse(bad) is None
+    for value in (np.nan, np.inf, -np.inf):
+        broken = a.copy()
+        broken[1, 5] = value
+        assert gram_inverse(broken) is None  # no LinAlgError from the eigensolver
+    assert gram_inverse(np.full((2, 3), 1e200)) is None  # the Gram overflows
+
+
+@pytest.mark.parametrize("margin, accepted", [(1.01, True), (0.99, False)])
+def test_gram_inverse_condition_limit(margin, accepted):
+    # rows with norms 1 and s over orthonormal directions: the Gram is
+    # diag(1, s^2) up to rounding, with condition number 1 / s^2
+    q, _ = np.linalg.qr(np.random.default_rng(59).standard_normal((30, 2)))
+    s = np.sqrt(margin / GRAM_COND_LIMIT)
+    a = np.diag([1.0, s]) @ q.T
+    inv = gram_inverse(a)
+    assert (inv is not None) == accepted
+    if accepted:
+        assert np.allclose(np.diag(inv), [1.0, 1.0 / s**2], rtol=1e-5)
 
 
 def test_pos_neg_part_split():

@@ -3,7 +3,7 @@ import pytest
 
 import mvfuse.fusion as fusion_module
 import mvfuse.pipeline as pipeline_module
-from mvfuse.data import generate_synthetic, normalize_dataset
+from mvfuse.data import MultiViewDataset, generate_synthetic, normalize_dataset
 from mvfuse.deep import reconstruction_loss
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import (
@@ -12,7 +12,7 @@ from mvfuse.pipeline import (
     fit,
     init_state,
 )
-from conftest import benchmark_hp
+from conftest import BENCHMARK, BENCHMARK_DIMS, benchmark_hp
 
 
 def _small_dataset(seed=7, **kwargs):
@@ -111,11 +111,11 @@ def test_fit_single_iteration_contract():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_with_an_all_zero_view_names_the_collapse():
-    # every column of the zero view coincides, so its k-means seeding has
-    # fewer distinct points than clusters
+    # a zero view's partition would collapse during fine-tuning; validation
+    # rejects it up front and names the view
     ds = _small_dataset()
     ds.views[0] = np.zeros_like(ds.views[0])
-    with pytest.raises(NumericalError, match="partition matrix collapsed"):
+    with pytest.raises(ValueError, match=r"view 0 is all zeros"):
         fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
 
 
@@ -194,6 +194,64 @@ def test_fit_computes_each_view_loss_once_per_iteration(monkeypatch):
     ds = _small_dataset()
     res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
     assert len(calls) == ds.num_views * res.iterations_run
+
+
+def test_benchmark_fit_takes_an_svd_only_for_the_left_factors(pinv_calls, benchmark_dataset):
+    # Every right-hand refit goes through a small Gram: one SVD per view and
+    # iteration remains, on the tall d x 12 factor z_1 left of basis 2.
+    res = fit(benchmark_dataset, benchmark_hp())
+    width = BENCHMARK_DIMS[0]
+    assert res.iterations_run == 150
+    assert len(pinv_calls) == 150 * len(BENCHMARK["view_dims"])
+    assert set(pinv_calls) == {(d, width) for d in BENCHMARK["view_dims"]}
+
+
+def _tiny_dataset(n, k, seed=3):
+    rng = np.random.default_rng(seed)
+    views = [rng.standard_normal((d, n)) for d in (8, 10)]
+    ds = MultiViewDataset(views=views, truth=np.arange(n) % k, k=k)
+    return normalize_dataset(ds, "l2-sample")
+
+
+def _duplicated_view():
+    ds = _small_dataset()
+    ds.views.append(ds.views[0].copy())
+    return ds
+
+
+def _constant_view():
+    ds = _small_dataset()
+    ds.views[0] = np.ones_like(ds.views[0])
+    return normalize_dataset(ds, "l2-sample")
+
+
+# Inputs at the edges of the basis refits, with the final objective of a fit
+# of at most 20 iterations at lam 1; the SVD refit and the Gram refit agree
+# on it to 14 digits.
+EDGE_INPUTS = {
+    "duplicated view": (_duplicated_view, [6, 3], -4.909214154286827),
+    "k = n": (lambda: _tiny_dataset(6, 6), [6], -8.485278993419229),
+    "k = n - 2": (lambda: _tiny_dataset(8, 6), [6], -7.922676982321869),
+    "constant view": (_constant_view, [6, 3], -3.7131493414882946),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(EDGE_INPUTS))
+def test_fit_handles_inputs_at_the_edges_of_the_refits(name):
+    make, dims, final = EDGE_INPUTS[name]
+    ds = make()
+    res = fit(ds, HyperParams(lam=1.0, dims=dims, max_iter=20))
+    assert np.all(np.isfinite(res.objectives))
+    assert res.objectives[-1] == pytest.approx(final, rel=1e-9)
+    assert res.labels.shape == (ds.n,) and 0 <= res.labels.min() <= res.labels.max() < ds.k
+
+
+def test_constant_view_refits_fall_back_to_the_svd(pinv_calls):
+    # Its columns coincide, so the seeded h has equal rows and a singular Gram.
+    make, dims, _ = EDGE_INPUTS["constant view"]
+    fit(make(), HyperParams(lam=1.0, dims=dims, max_iter=20))
+    assert (3, 40) in pinv_calls and (6, 40) in pinv_calls
 
 
 def test_fit_keeps_previous_consensus_on_degenerate_step(monkeypatch):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import mvfuse.seminmf as seminmf_module
-from mvfuse.linalg import pinv
-from mvfuse.seminmf import fit_layer, init_layer, multiplicative_step
+from mvfuse.linalg import GRAM_COND_LIMIT, pinv
+from mvfuse.seminmf import fit_layer, init_layer, multiplicative_step, refit_basis
 
 
 def _planted(rng, d=20, width=4, n=60):
@@ -46,6 +46,51 @@ def test_multiplicative_step_decreases_loss():
             after = _loss(x, z, h)
             assert after <= before + 1e-9
             before = after
+
+
+def test_refit_basis_matches_the_svd_refit_on_full_row_rank_h(pinv_calls):
+    rng = np.random.default_rng(141)
+    for shape in [(3, 40), (12, 300), (5, 5)]:
+        x = rng.standard_normal((20, shape[1]))
+        h = rng.uniform(0.0, 1.0, size=shape)
+        expect = x @ pinv(h)
+        got = refit_basis(x, h)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert pinv_calls == []
+
+
+def test_refit_basis_takes_the_svd_on_a_singular_gram(pinv_calls):
+    rng = np.random.default_rng(143)
+    x = rng.standard_normal((10, 30))
+    h = rng.uniform(0.1, 1.0, size=(4, 30))
+    zero_row, repeated = h.copy(), h.copy()
+    zero_row[1] = 0.0
+    repeated[2] = repeated[0]
+    for bad in (zero_row, repeated, np.zeros_like(h)):
+        assert np.array_equal(refit_basis(x, bad), x @ pinv(bad))
+    assert pinv_calls == [h.shape] * 3
+
+
+@pytest.mark.parametrize("margin, svd_calls", [(1.01, 0), (0.99, 1)])
+def test_refit_basis_path_follows_the_condition_limit(pinv_calls, margin, svd_calls):
+    rng = np.random.default_rng(147)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 2)))
+    h = np.diag([1.0, np.sqrt(margin / GRAM_COND_LIMIT)]) @ q.T
+    x = rng.standard_normal((6, 30))
+    got = refit_basis(x, h)
+    assert len(pinv_calls) == svd_calls
+    expect = x @ pinv(h)
+    assert np.linalg.norm(got - expect) <= 1e-6 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_refit_basis_rejects_non_finite_h_as_the_svd_refit_does(value):
+    rng = np.random.default_rng(149)
+    x = rng.standard_normal((6, 12))
+    h = rng.uniform(0.1, 1.0, size=(3, 12))
+    h[2, 4] = value
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        refit_basis(x, h)
 
 
 def test_init_layer_shapes_and_positivity():
@@ -98,7 +143,7 @@ def test_fit_layer_matches_manual_alternation():
     factors = init_layer(x, 4, seed=7)
     z, h = factors.z, factors.h
     for _ in range(12):
-        z = x @ pinv(h)
+        z = refit_basis(x, h)
         h = multiplicative_step(x, z, h)
     got = fit_layer(x, 4, iters=12, seed=7)
     assert np.array_equal(got.z, z)
@@ -106,15 +151,15 @@ def test_fit_layer_matches_manual_alternation():
 
 
 @pytest.mark.parametrize("iters", [1, 12])
-def test_fit_layer_makes_one_pinv_call_per_iteration(monkeypatch, iters):
-    # init_layer's pinv already fits z to the seeded h; the first pass reuses it.
+def test_fit_layer_makes_one_refit_per_iteration(monkeypatch, iters):
+    # init_layer's refit already fits z to the seeded h; the first pass reuses it.
     calls = []
 
-    def counting(a):
-        calls.append(a.shape)
-        return pinv(a)
+    def counting(x, h):
+        calls.append(h.shape)
+        return refit_basis(x, h)
 
-    monkeypatch.setattr(seminmf_module, "pinv", counting)
+    monkeypatch.setattr(seminmf_module, "refit_basis", counting)
     fit_layer(np.random.default_rng(133).standard_normal((14, 33)), 4, iters=iters, seed=7)
     assert len(calls) == iters
 
