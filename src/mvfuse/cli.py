@@ -22,7 +22,7 @@ from mvfuse.data import (
 )
 from mvfuse.linalg import NumericalError
 from mvfuse.metrics import accuracy, nmi, purity
-from mvfuse.pipeline import HyperParams, fit
+from mvfuse.pipeline import HyperParams, fit, shared_pretraining
 
 LAMBDA_EXPONENTS = range(-12, 6)          # 2^-12 .. 2^5, 18 values
 P2_L1_MULTIPLIERS = (4, 5, 6)             # two-layer schemes [c*k, k]
@@ -234,15 +234,30 @@ def cmd_grid(args) -> int:
     # Options are checked for every cell before any fit; only a layer scheme
     # that does not fit the data fails inside its own cell.
     cells = [_hyper_params(args, lam, dims, "--lambdas") for dims in schemes for lam in lambdas]
+    nlam = len(lambdas)
 
-    def run_cell(hp):
-        try:
-            results = _run_repeats(dataset, hp, args.repeats, 1)
-        except (ValueError, NumericalError) as exc:
-            return None, str(exc)
-        return results, ""
+    # One group per (layer scheme, repeat): pretraining never reads lambda,
+    # so each group pretrains once and fine-tunes every lambda from that start.
+    def run_group(group):
+        s, i = group
+        fits = []
+        with shared_pretraining():
+            for hp in cells[s * nlam : (s + 1) * nlam]:
+                try:
+                    fits.append(fit(dataset, replace(hp, seed=hp.seed + i)))
+                except (ValueError, NumericalError) as exc:
+                    fits.append(exc)
+        return fits
 
-    outcomes = _map(run_cell, cells, args.threads)
+    groups = [(s, i) for s in range(len(schemes)) for i in range(args.repeats)]
+    by_group = dict(zip(groups, _map(run_group, groups, args.threads)))
+    outcomes = []
+    for idx in range(len(cells)):
+        s, j = divmod(idx, nlam)
+        results = [by_group[s, i][j] for i in range(args.repeats)]
+        # a failed cell reports its lowest-seed failure
+        failure = next((r for r in results if isinstance(r, Exception)), None)
+        outcomes.append((results, "") if failure is None else (None, str(failure)))
 
     rows = ["\t".join(GRID_COLUMNS)]
     best_cell, best_acc = None, -1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mvfuse.linalg import NumericalError, as_matrix, gram_inverse, pinv
-from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis
+from mvfuse.seminmf import fit_layer, multiplicative_step
 
 
 @dataclass
@@ -69,32 +69,46 @@ def _product(zs) -> np.ndarray:
     return out
 
 
-def update_basis(vf: ViewFactorization, i: int) -> np.ndarray:
+def partition_terms(vf: ViewFactorization):
+    """(x h_m^T, gram_inverse(h_m)), the part of every basis refit that reads h_m.
+
+    h_m holds still until the partition step, so a sweep computes these once
+    for all its basis refits. x h_m^T is None when the Gram check fails, since
+    the refits then take an SVD pinv instead.
+    """
+    hm = vf.h[-1]
+    inv_h = gram_inverse(hm)
+    return (None if inv_h is None else vf.x @ hm.T), inv_h
+
+
+def update_basis(vf: ViewFactorization, i: int, terms=None) -> np.ndarray:
     """Least-squares refit of basis i against the reconstruction chain.
 
     Minimizes ||x - L z_i C|| over z_i alone, with L = z_1..z_{i-1} and the
     chain C = A h_m, A = z_{i+1}..z_m, so the full reconstruction loss never
     increases. The exact minimizer is pinv(L) x pinv(C). At the last layer
-    C = h_m and x pinv(h_m) comes from refit_basis's k x k Gram. Above it C
-    is l x n of rank k, so its own Gram is singular; instead, when A has full
-    column rank and h_m full row rank, pinv(C) = pinv(h_m) pinv(A) =
-    h_m^T (h_m h_m^T)^-1 (A^T A)^-1 A^T, two small Grams. When either fails
+    C = h_m and x pinv(h_m) = x h_m^T (h_m h_m^T)^-1 through the k x k Gram.
+    Above it C is l x n of rank k, so its own Gram is singular; instead, when
+    A has full column rank and h_m full row rank, pinv(C) = pinv(h_m) pinv(A)
+    = h_m^T (h_m h_m^T)^-1 (A^T A)^-1 A^T, two small Grams. When either fails
     gram_inverse's check (a zero row that the gauge fix leaves in h_m, or a
     rank-deficient A), C gets its SVD pinv. The tall L, of rank k in
-    fine-tuning, always does.
+    fine-tuning, always does. `terms` is partition_terms(vf) when the caller
+    already holds it for the current h_m.
     """
     if not 0 <= i < vf.depth:
         raise ValueError(f"layer index {i} out of range for depth {vf.depth}")
     hm = vf.h[-1]
+    xht, inv_h = partition_terms(vf) if terms is None else terms
     if i == vf.depth - 1:
-        out = refit_basis(vf.x, hm)
+        out = vf.x @ pinv(hm) if inv_h is None else xht @ inv_h
     else:
         a = _product(vf.z[i + 1 :])
-        inv_h, inv_a = gram_inverse(hm), gram_inverse(a.T)
-        if inv_h is None or inv_a is None:
+        inv_a = None if inv_h is None else gram_inverse(a.T)
+        if inv_a is None:
             out = vf.x @ pinv(a @ hm)
         else:
-            out = (vf.x @ hm.T) @ inv_h @ inv_a @ a.T
+            out = xht @ inv_h @ inv_a @ a.T
     if i == 0:
         return out
     return pinv(_product(vf.z[:i])) @ out
@@ -163,8 +177,9 @@ def sweep_view(vf, consensus, rotation, alpha_v, beta_v, lam):
     fix that pins the partition scale. Factors are updated in place.
     """
     m = vf.depth
+    terms = partition_terms(vf)  # h_m holds still until the partition step
     for i in range(m):
-        vf.z[i] = update_basis(vf, i)
+        vf.z[i] = update_basis(vf, i, terms)
         if i < m - 1:
             vf.h[i] = update_hidden(vf, i)
     vf.h[-1] = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)

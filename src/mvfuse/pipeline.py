@@ -9,12 +9,15 @@ change falls below tol or after max_iter iterations.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mvfuse.data import MultiViewDataset
 from mvfuse.deep import (
+    ViewFactorization,
     fix_partition_gauge,
     pretrain_view,
     reconstruction_loss,
@@ -98,18 +101,60 @@ def check_convergence(objectives, tol: float) -> bool:
     return abs(last - prev) / max(abs(prev), 1e-12) < tol
 
 
+# Per-thread init_state memo, set only inside a shared_pretraining() block.
+_shared = threading.local()
+
+
+@contextmanager
+def shared_pretraining():
+    """Let init_state pretrain each start once on this thread for the block.
+
+    Inside the block, fits that share the dataset object, the layer dims, the
+    seed and pretrain_iters -- all init_state reads, so any lam -- start from
+    one pretraining. Results are identical to fits outside a block. The
+    dataset must not change while the block is open.
+    """
+    outer = getattr(_shared, "memo", None)
+    _shared.memo = {}
+    try:
+        yield
+    finally:
+        _shared.memo = outer
+
+
+def _copy_start(views, state):
+    """New factor lists and fusion state over the same arrays.
+
+    Every update replaces list entries and state fields rather than writing
+    into an array, so a fine-tune from the copy leaves the original intact.
+    """
+    return (
+        [ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h)) for vf in views],
+        FusionState(h=state.h.copy(), w=list(state.w),
+                    alpha=state.alpha.copy(), beta=state.beta.copy()),
+    )
+
+
 def init_state(dataset: MultiViewDataset, hp: HyperParams):
     """Pretrain every view, then start fusion from neutral weights.
 
     Rotations start at identity, alpha uniform, beta uniform on the unit
     sphere; the initial consensus comes from one consensus step over the
-    pretrained partitions.
+    pretrained partitions. Pretraining is greedy and layer-wise, so it never
+    sees the alignment term: hp.lam is never read here. Inside a
+    shared_pretraining() block the result is memoised per (dataset object,
+    dims, seed, pretrain_iters), and a later call with the same key returns
+    a fresh copy of it instead of pretraining again.
     """
     hp.validate()
     dataset.validate()
     dims = validate_layer_dims(
         hp.dims, dataset.k, [x.shape[0] for x in dataset.views], dataset.n
     )
+    memo = getattr(_shared, "memo", None)
+    key = (id(dataset), tuple(dims), hp.seed, hp.pretrain_iters)
+    if memo is not None and key in memo:
+        return _copy_start(*memo[key][1:])
     views = [
         pretrain_view(x, dims, seed=hp.seed + VIEW_SEED_STRIDE * (v + 1), iters=hp.pretrain_iters)
         for v, x in enumerate(dataset.views)
@@ -122,7 +167,11 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     alpha = np.full(nviews, 1.0 / nviews)
     beta = np.full(nviews, 1.0 / np.sqrt(nviews))
     h, _ = update_consensus([vf.h[-1] for vf in views], w, beta)
-    return views, FusionState(h=h, w=w, alpha=alpha, beta=beta)
+    state = FusionState(h=h, w=w, alpha=alpha, beta=beta)
+    if memo is None:
+        return views, state
+    memo[key] = (dataset, views, state)  # the held dataset keeps its id from being reused
+    return _copy_start(views, state)
 
 
 def _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate, it):

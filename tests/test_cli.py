@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvfuse.cli as cli_module
+import mvfuse.pipeline as pipeline_module
 from mvfuse.cli import (
     _parse_synthetic_spec,
     build_parser,
@@ -15,6 +17,7 @@ from mvfuse.cli import (
 )
 from mvfuse.data import (
     Manifest,
+    MultiViewDataset,
     generate_synthetic,
     load_dataset,
     read_matrix,
@@ -22,7 +25,8 @@ from mvfuse.data import (
     write_labels,
     write_matrix,
 )
-from mvfuse.pipeline import HyperParams
+from mvfuse.linalg import NumericalError
+from mvfuse.pipeline import HyperParams, fit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -300,6 +304,37 @@ def test_run_names_an_all_zero_view(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _duplicated_view_dataset():
+    ds = generate_synthetic(n=40, k=3, view_dims=[10, 14], noise_sigma=0.05, seed=7)
+    ds.views.append(ds.views[0].copy())
+    return ds
+
+
+def _k_equals_n_dataset():
+    rng = np.random.default_rng(3)
+    views = [rng.standard_normal((d, 6)) for d in (8, 10)]
+    return MultiViewDataset(views=views, truth=np.arange(6), k=6)
+
+
+@pytest.mark.parametrize("make, dims", [
+    (_duplicated_view_dataset, [6, 3]),
+    (_k_equals_n_dataset, [6]),
+])
+def test_run_at_the_edges_of_the_refits_matches_library_fit(tmp_path, make, dims):
+    manifest = save_dataset(make(), tmp_path / "data")
+    out = tmp_path / "out"
+    assert main([
+        "run", "--manifest", str(manifest), "--lambda", "1", "--dims", ",".join(map(str, dims)),
+        "--repeats", "1", "--max-iter", "20", "--restarts", "5", "--out", str(out),
+        "--emit-embedding",
+    ]) == 0
+    res = fit(load_dataset(manifest), HyperParams(lam=1.0, dims=dims, max_iter=20, kmeans_restarts=5))
+    assert np.array_equal(read_matrix(out / "embedding.mvm"), res.h)
+    _, rows = _read_rows(out / "results.tsv")
+    assert rows[0]["objective"] == f"{res.objectives[-1]:.12g}"
+    assert rows[0]["acc"] == f"{res.scores['acc']:.12g}"
+
+
 def test_run_reports_missing_manifest(tmp_path, capsys):
     code = main([
         "run", "--manifest", str(tmp_path / "absent.json"),
@@ -313,25 +348,96 @@ def test_run_reports_missing_manifest(tmp_path, capsys):
 # grid
 
 
-def test_grid_single_cell_matches_run(tmp_path):
-    run_out, grid_out = tmp_path / "run", tmp_path / "grid"
-    assert main(SMALL_RUN + ["--out", str(run_out)]) == 0
+def test_grid_cells_match_run_for_every_lambda(tmp_path):
+    common = ["--synthetic", SMALL_SPEC, "--repeats", "2", "--max-iter", "10", "--restarts", "5"]
+    grid_out = tmp_path / "grid"
+    assert main(["grid", *common, "--lambdas", "4,0.25,1", "--schemes", "p2", "--p2-l1", "2",
+                 "--out", str(grid_out)]) == 0
+    _, cells = _read_rows(grid_out / "grid.tsv")
+    assert [c["lambda"] for c in cells] == ["4", "0.25", "1"]
+    for cell in cells:
+        run_out = tmp_path / f"run-{cell['lambda']}"
+        assert main(["run", *common, "--lambda", cell["lambda"], "--dims", "6,3",
+                     "--out", str(run_out)]) == 0
+        _, rows = _read_rows(run_out / "results.tsv")
+        by_tag = {r["repeat"]: r for r in rows}
+        assert cell["status"] == "ok" and cell["dims"] == "6,3"
+        for col in ("acc", "nmi", "pur"):
+            assert cell[f"best_{col}"] == by_tag["best"][col]
+            assert cell[f"mean_{col}"] == by_tag["mean"][col]
+            assert cell[f"std_{col}"] == by_tag["std"][col]
+        assert cell["mean_objective"] == by_tag["mean"]["objective"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_grid_pretrains_once_per_scheme_and_repeat(tmp_path, monkeypatch, threads):
+    calls = []
+    real = pipeline_module.pretrain_view
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "pretrain_view", counting)
+    schemes, lambdas, repeats, views = 2, 3, 2, 3
     assert main([
-        "grid", "--synthetic", SMALL_SPEC, "--lambdas", "1",
-        "--schemes", "p2", "--p2-l1", "2",
-        "--repeats", "2", "--max-iter", "10", "--restarts", "5",
-        "--out", str(grid_out),
+        "grid", "--synthetic", "n=40,k=3,dims=10/14/12,sigma=0.05,seed=7",
+        "--lambdas", "0.5,1,2", "--schemes", "p2", "--p2-l1", "2,3",
+        "--repeats", str(repeats), "--max-iter", "3", "--restarts", "2",
+        "--pretrain-iters", "5", "--threads", threads, "--out", str(tmp_path / "grid"),
     ]) == 0
-    _, run_rows = _read_rows(run_out / "results.tsv")
-    _, grid_rows = _read_rows(grid_out / "grid.tsv")
-    assert len(grid_rows) == 1
-    cell = grid_rows[0]
-    assert cell["status"] == "ok"
-    assert cell["dims"] == "6,3"
-    best_run = next(r for r in run_rows if r["repeat"] == "best")
-    mean_run = next(r for r in run_rows if r["repeat"] == "mean")
-    assert cell["best_acc"] == best_run["acc"]
-    assert cell["mean_acc"] == mean_run["acc"]
+    _, rows = _read_rows(tmp_path / "grid" / "grid.tsv")
+    assert len(rows) == schemes * lambdas and all(r["status"] == "ok" for r in rows)
+    assert len(calls) == schemes * repeats * views
+    assert sorted(map(tuple, calls)) == [(6, 3)] * 6 + [(9, 3)] * 6
+
+
+FAILING_GRID = [
+    "grid", "--synthetic", SMALL_SPEC, "--lambdas", "0.5,1,2",
+    "--schemes", "p2", "--p2-l1", "2,3", "--repeats", "3", "--max-iter", "5", "--restarts", "2",
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_grid_fails_only_the_cell_of_a_failing_lambda(tmp_path, monkeypatch, capsys, threads):
+    # lambda 0.5 fails mid-fit and runs first in its group, so its siblings
+    # fine-tune from a start that a failed fit already used
+    argv = FAILING_GRID + ["--threads", threads]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    real = pipeline_module.objective
+
+    def failing(losses, traces, state, lam):
+        if lam == 0.5:
+            raise NumericalError("forced")
+        return real(losses, traces, state, lam)
+
+    monkeypatch.setattr(pipeline_module, "objective", failing)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "forced")]) == 0
+    assert "4 ok, 2 failed" in capsys.readouterr().out
+    _, clean = _read_rows(tmp_path / "clean" / "grid.tsv")
+    _, forced = _read_rows(tmp_path / "forced" / "grid.tsv")
+    for before, after in zip(clean, forced, strict=True):
+        if after["lambda"] == "0.5":
+            assert after["status"] == "failed"
+            assert after["error"] == "iteration 0, objective block: forced"
+        else:
+            assert after == before
+
+
+def test_grid_reports_the_lowest_seed_failure_of_a_cell(tmp_path, monkeypatch):
+    real = cli_module.fit
+
+    def failing(dataset, hp):
+        if hp.lam == 1.0 and hp.dims == [9, 3] and hp.seed >= 1:
+            raise NumericalError(f"forced at seed {hp.seed}")
+        return real(dataset, hp)
+
+    monkeypatch.setattr(cli_module, "fit", failing)
+    assert main(FAILING_GRID + ["--threads", "2", "--out", str(tmp_path / "grid")]) == 0
+    _, rows = _read_rows(tmp_path / "grid" / "grid.tsv")
+    assert [r["status"] for r in rows] == ["ok"] * 4 + ["failed", "ok"]
+    assert rows[4]["error"] == "forced at seed 1"
 
 
 def test_grid_records_failed_cells(tmp_path, capsys):

@@ -465,3 +465,27 @@ def test_sweep_leaves_partition_rows_unit():
     consensus = _row_orthonormal(rng, 3, 30)
     sweep_view(vf, consensus, np.eye(3), 0.6, 0.5, 0.8)
     assert np.allclose(np.linalg.norm(vf.h[-1], axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+@pytest.mark.parametrize("dims", [(3,), (7, 3), (9, 6, 3)])
+def test_sweep_matches_basis_refits_that_each_recompute_the_partition_terms(dims, zero_row):
+    # sweep_view computes x h_m^T and the Gram inverse of h_m once; each refit
+    # on its own recomputes them. A zero partition row takes the SVD fallback.
+    rng = np.random.default_rng(273)
+    for _ in range(3):
+        vf = _random_vf(rng, d=14, dims=dims, n=30)
+        if zero_row:
+            vf.h[-1][1] = 0.0
+        consensus = _row_orthonormal(rng, 3, 30)
+        rotation = _row_orthonormal(rng, 3, 3)
+        alone = ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h))
+        for i in range(alone.depth):
+            alone.z[i] = update_basis(alone, i)
+            if i < alone.depth - 1:
+                alone.h[i] = update_hidden(alone, i)
+        alone.h[-1] = update_partition(alone, consensus, rotation, 0.6, 0.5, 0.8)
+        fix_partition_gauge(alone)
+        sweep_view(vf, consensus, rotation, 0.6, 0.5, 0.8)
+        for got, expect in zip(vf.z + vf.h, alone.z + alone.h):
+            assert np.array_equal(got, expect)

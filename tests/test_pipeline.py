@@ -1,3 +1,7 @@
+import copy
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from mvfuse.pipeline import (
     check_convergence,
     fit,
     init_state,
+    shared_pretraining,
 )
 from conftest import BENCHMARK, BENCHMARK_DIMS, benchmark_hp
 
@@ -272,3 +277,92 @@ def test_fit_keeps_previous_consensus_on_degenerate_step(monkeypatch):
     assert res.iterations_run == 5
     assert all(rec.consensus_degenerate for rec in res.history)
     assert res.h is first[0]
+
+
+# ---------------------------------------------------------------------------
+# shared pretraining
+
+
+def _counting_pretrain(monkeypatch):
+    calls = []
+    real = pipeline_module.pretrain_view
+
+    def counting(*args, **kwargs):
+        calls.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "pretrain_view", counting)
+    return calls
+
+
+def _assert_same_start(got, expect):
+    (views, state), (views_e, state_e) = got, expect
+    for vf, vf_e in zip(views, views_e, strict=True):
+        for a, b in zip([vf.x, *vf.z, *vf.h], [vf_e.x, *vf_e.z, *vf_e.h], strict=True):
+            assert np.array_equal(a, b)
+    for a, b in zip([state.h, state.alpha, state.beta, *state.w],
+                    [state_e.h, state_e.alpha, state_e.beta, *state_e.w], strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_fits_in_a_shared_pretraining_block_equal_fits_outside_it(monkeypatch):
+    ds = _small_dataset()
+    hps = [HyperParams(lam=lam, dims=[6, 3], max_iter=8) for lam in (0.25, 4.0)]
+    alone = [fit(ds, hp) for hp in hps]
+    calls = _counting_pretrain(monkeypatch)
+    with shared_pretraining():
+        shared = [fit(ds, hp) for hp in hps]
+    assert len(calls) == ds.num_views  # the second fit started from the first one's
+    for a, b in zip(shared, alone):
+        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.objectives, b.objectives)
+
+
+def test_a_fine_tune_leaves_the_shared_start_unchanged():
+    ds = _small_dataset()
+    hp = HyperParams(lam=1.0, dims=[7, 5, 3], max_iter=5)
+    with shared_pretraining():
+        first = init_state(ds, hp)
+        before = copy.deepcopy(first)
+        fit(ds, hp)
+        again = init_state(ds, hp)
+    _assert_same_start(first, before)
+    _assert_same_start(again, before)
+    assert again[0][0].z is not first[0][0].z and again[1].w is not first[1].w
+
+
+@pytest.mark.parametrize("change", ["dataset", "dims", "seed", "pretrain_iters"])
+def test_shared_pretraining_misses_on_any_other_start(monkeypatch, change):
+    ds = _small_dataset()
+    hp = HyperParams(lam=1.0, dims=[6, 3], seed=2, pretrain_iters=10)
+    other_ds, other_hp = ds, hp
+    if change == "dataset":
+        other_ds = _small_dataset()  # equal contents, another object
+    else:
+        other_hp = replace(hp, **{change: {"dims": [5, 3], "seed": 3, "pretrain_iters": 11}[change]})
+    calls = _counting_pretrain(monkeypatch)
+    with shared_pretraining():
+        init_state(ds, hp)
+        init_state(other_ds, other_hp)
+        init_state(ds, replace(hp, lam=2.0))  # only lam differs: a hit
+    assert len(calls) == 2 * ds.num_views
+
+
+def test_pretraining_is_shared_only_inside_the_block_and_on_its_thread(monkeypatch):
+    ds = _small_dataset()
+    hp = HyperParams(lam=1.0, dims=[6, 3], pretrain_iters=5)
+    calls = _counting_pretrain(monkeypatch)
+    init_state(ds, hp)
+    init_state(ds, hp)
+    assert len(calls) == 2 * ds.num_views
+    with shared_pretraining():
+        init_state(ds, hp)
+        worker = threading.Thread(target=init_state, args=(ds, hp))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        init_state(ds, hp)
+    init_state(ds, hp)
+    assert len(calls) == 5 * ds.num_views
+    assert calls[3 * ds.num_views] != calls[0]  # the worker pretrained for itself
