@@ -133,10 +133,6 @@ def _map(fn, items, threads):
     return [fn(item) for item in items]
 
 
-def _run_repeats(dataset, hp, repeats, threads):
-    return _map(lambda i: fit(dataset, replace(hp, seed=hp.seed + i)), range(repeats), threads)
-
-
 def _values(res) -> list:
     """Objective, acc, nmi and pur of one repeat; the scores are None without ground truth."""
     scores = res.scores or {}
@@ -189,7 +185,8 @@ def cmd_run(args) -> int:
     dataset, norm = _load_data(args)
     dims = _parse_list(args.dims, "--dims")
     hp = _hyper_params(args, args.lam, dims, "--lambda")
-    results = _run_repeats(dataset, hp, args.repeats, args.threads)
+    results = _map(lambda i: fit(dataset, replace(hp, seed=hp.seed + i)),
+                   range(args.repeats), args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table, best = _results_table(results, hp, norm, args.seed)
