@@ -229,61 +229,56 @@ def cmd_grid(args) -> int:
     )
     lambdas = _parse_list(args.lambdas, "--lambdas", float) if args.lambdas else lambda_grid()
     # Options are checked for every cell before any fit; only a layer scheme
-    # that does not fit the data fails inside its own cell.
-    cells = [_hyper_params(args, lam, dims, "--lambdas") for dims in schemes for lam in lambdas]
-    nlam = len(lambdas)
+    # that does not fit the data fails inside its own cell. One row of cells
+    # per scheme, one cell per lambda.
+    cells = [[_hyper_params(args, lam, dims, "--lambdas") for lam in lambdas] for dims in schemes]
 
     # One group per (layer scheme, repeat): pretraining never reads lambda,
     # so each group pretrains once and fine-tunes every lambda from that start.
     def run_group(group):
-        s, i = group
+        row, i = group
         fits = []
         with shared_pretraining():
-            for hp in cells[s * nlam : (s + 1) * nlam]:
+            for hp in row:
                 try:
                     fits.append(fit(dataset, replace(hp, seed=hp.seed + i)))
                 except (ValueError, NumericalError) as exc:
                     fits.append(exc)
         return fits
 
-    groups = [(s, i) for s in range(len(schemes)) for i in range(args.repeats)]
-    by_group = dict(zip(groups, _map(run_group, groups, args.threads)))
-    outcomes = []
-    for idx in range(len(cells)):
-        s, j = divmod(idx, nlam)
-        results = [by_group[s, i][j] for i in range(args.repeats)]
-        # a failed cell reports its lowest-seed failure
-        failure = next((r for r in results if isinstance(r, Exception)), None)
-        outcomes.append((results, "") if failure is None else (None, str(failure)))
-
+    groups = [(row, i) for row in cells for i in range(args.repeats)]
+    group_fits = iter(_map(run_group, groups, args.threads))
     rows = ["\t".join(GRID_COLUMNS)]
-    best_cell, best_acc = None, -1.0
-    for idx, (hp, (results, error)) in enumerate(zip(cells, outcomes)):
-        head = [str(idx), _fmt(hp.lam), ",".join(str(d) for d in hp.dims), norm, str(args.repeats)]
-        if results is None:
-            error = error.replace("\t", " ").replace("\n", " ")
-            rows.append("\t".join(head + ["failed"] + ["nan"] * 10 + [error]))
-            continue
-        best, mean, std = _summary(results)
-        _, acc, nmi_v, pur = _values(results[best])
-        spread = [stat for pair in zip(mean[1:], std[1:]) for stat in pair]
-        rows.append("\t".join(
-            head + ["ok"] + [_fmt(v) for v in [acc, nmi_v, pur] + spread + [mean[0]]] + [""]
-        ))
-        if acc is not None and acc > best_acc:
-            best_cell, best_acc = idx, acc
+    best_acc, best_line, failed = -1.0, None, 0
+    for row in cells:
+        per_repeat = [next(group_fits) for _ in range(args.repeats)]
+        for hp, results in zip(row, zip(*per_repeat)):
+            head = [str(len(rows) - 1), _fmt(hp.lam), ",".join(str(d) for d in hp.dims), norm,
+                    str(args.repeats)]
+            # a failed cell reports its lowest-seed failure
+            failure = next((r for r in results if isinstance(r, Exception)), None)
+            if failure is not None:
+                failed += 1
+                error = str(failure).replace("\t", " ").replace("\n", " ")
+                rows.append("\t".join(head + ["failed"] + ["nan"] * 10 + [error]))
+                continue
+            top, mean, std = _summary(results)
+            _, acc, nmi_v, pur = _values(results[top])
+            spread = [stat for pair in zip(mean[1:], std[1:]) for stat in pair]
+            rows.append("\t".join(
+                head + ["ok"] + [_fmt(v) for v in [acc, nmi_v, pur] + spread + [mean[0]]] + [""]
+            ))
+            if acc is not None and acc > best_acc:
+                best_acc = acc
+                best_line = f"best cell {head[0]}: lambda={head[1]} dims={head[2]} acc={_fmt(acc)}"
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "grid.tsv").write_text("\n".join(rows) + "\n")
-    ok = sum(1 for results, _ in outcomes if results is not None)
-    print(f"grid: {len(cells)} cells ({ok} ok, {len(cells) - ok} failed)")
-    if best_cell is not None:
-        hp = cells[best_cell]
-        print(
-            f"best cell {best_cell}: lambda={_fmt(hp.lam)} "
-            f"dims={','.join(map(str, hp.dims))} acc={_fmt(best_acc)}"
-        )
+    ncells = len(rows) - 1
+    print(f"grid: {ncells} cells ({ncells - failed} ok, {failed} failed)")
+    if best_line is not None:
+        print(best_line)
     print(f"wrote {out / 'grid.tsv'}")
     return 0
 

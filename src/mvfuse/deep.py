@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mvfuse.linalg import NumericalError, as_matrix, gram_inverse, pinv
-from mvfuse.seminmf import fit_layer, multiplicative_step
+from mvfuse.seminmf import fit_layer, gram_refit, multiplicative_step
 
 
 @dataclass
@@ -69,46 +69,36 @@ def _product(zs) -> np.ndarray:
     return out
 
 
-def partition_terms(vf: ViewFactorization):
-    """(x h_m^T, gram_inverse(h_m)), the part of every basis refit that reads h_m.
-
-    h_m holds still until the partition step, so a sweep computes these once
-    for all its basis refits. x h_m^T is None when the Gram check fails, since
-    the refits then take an SVD pinv instead.
-    """
-    hm = vf.h[-1]
-    inv_h = gram_inverse(hm)
-    return (None if inv_h is None else vf.x @ hm.T), inv_h
+# update_basis's default: compute gram_refit(x, h_m) afresh.
+_FRESH = object()
 
 
-def update_basis(vf: ViewFactorization, i: int, terms=None) -> np.ndarray:
+def update_basis(vf: ViewFactorization, i: int, x_pinv_hm=_FRESH) -> np.ndarray:
     """Least-squares refit of basis i against the reconstruction chain.
 
     Minimizes ||x - L z_i C|| over z_i alone, with L = z_1..z_{i-1} and the
     chain C = A h_m, A = z_{i+1}..z_m, so the full reconstruction loss never
     increases. The exact minimizer is pinv(L) x pinv(C). At the last layer
-    C = h_m and x pinv(h_m) = x h_m^T (h_m h_m^T)^-1 through the k x k Gram.
+    C = h_m and x pinv(h_m) is gram_refit(x, h_m), through the k x k Gram.
     Above it C is l x n of rank k, so its own Gram is singular; instead, when
-    A has full column rank and h_m full row rank, pinv(C) = pinv(h_m) pinv(A)
-    = h_m^T (h_m h_m^T)^-1 (A^T A)^-1 A^T, two small Grams. When either fails
-    gram_inverse's check (a zero row that the gauge fix leaves in h_m, or a
-    rank-deficient A), C gets its SVD pinv. The tall L, of rank k in
-    fine-tuning, always does. `terms` is partition_terms(vf) when the caller
-    already holds it for the current h_m.
+    A has full column rank and h_m full row rank, x pinv(C) = x pinv(h_m)
+    pinv(A) = gram_refit(x, h_m) (A^T A)^-1 A^T, two small Grams. When either
+    fails gram_inverse's check (a zero row that the gauge fix leaves in h_m,
+    or a rank-deficient A), C gets its SVD pinv. The tall L, of rank k in
+    fine-tuning, always does. `x_pinv_hm` is gram_refit(vf.x, vf.h[-1]),
+    None included, when the caller already holds it for the current h_m.
     """
     if not 0 <= i < vf.depth:
         raise ValueError(f"layer index {i} out of range for depth {vf.depth}")
     hm = vf.h[-1]
-    xht, inv_h = partition_terms(vf) if terms is None else terms
+    if x_pinv_hm is _FRESH:
+        x_pinv_hm = gram_refit(vf.x, hm)
     if i == vf.depth - 1:
-        out = vf.x @ pinv(hm) if inv_h is None else xht @ inv_h
+        out = vf.x @ pinv(hm) if x_pinv_hm is None else x_pinv_hm
     else:
         a = _product(vf.z[i + 1 :])
-        inv_a = None if inv_h is None else gram_inverse(a.T)
-        if inv_a is None:
-            out = vf.x @ pinv(a @ hm)
-        else:
-            out = xht @ inv_h @ inv_a @ a.T
+        inv_a = None if x_pinv_hm is None else gram_inverse(a.T)
+        out = vf.x @ pinv(a @ hm) if inv_a is None else x_pinv_hm @ inv_a @ a.T
     if i == 0:
         return out
     return pinv(_product(vf.z[:i])) @ out
@@ -175,11 +165,14 @@ def sweep_view(vf, consensus, rotation, alpha_v, beta_v, lam):
     """One fine-tuning pass over a view: per layer the basis refit, then the
     representation step; the partition step runs last, followed by the gauge
     fix that pins the partition scale. Factors are updated in place.
+
+    h_m holds still until the partition step, so the sweep computes
+    gram_refit(x, h_m) once and hands it, None included, to every refit.
     """
     m = vf.depth
-    terms = partition_terms(vf)  # h_m holds still until the partition step
+    x_pinv_hm = gram_refit(vf.x, vf.h[-1])
     for i in range(m):
-        vf.z[i] = update_basis(vf, i, terms)
+        vf.z[i] = update_basis(vf, i, x_pinv_hm)
         if i < m - 1:
             vf.h[i] = update_hidden(vf, i)
     vf.h[-1] = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)

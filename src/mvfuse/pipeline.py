@@ -112,27 +112,13 @@ def shared_pretraining():
     Inside the block, fits that share the dataset object, the layer dims, the
     seed and pretrain_iters -- all init_state reads, so any lam -- start from
     one pretraining. Results are identical to fits outside a block. The
-    dataset must not change while the block is open.
+    dataset must not change while the block is open. Blocks do not nest.
     """
-    outer = getattr(_shared, "memo", None)
     _shared.memo = {}
     try:
         yield
     finally:
-        _shared.memo = outer
-
-
-def _copy_start(views, state):
-    """New factor lists and fusion state over the same arrays.
-
-    Every update replaces list entries and state fields rather than writing
-    into an array, so a fine-tune from the copy leaves the original intact.
-    """
-    return (
-        [ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h)) for vf in views],
-        FusionState(h=state.h.copy(), w=list(state.w),
-                    alpha=state.alpha.copy(), beta=state.beta.copy()),
-    )
+        _shared.memo = None
 
 
 def init_state(dataset: MultiViewDataset, hp: HyperParams):
@@ -142,36 +128,38 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     sphere; the initial consensus comes from one consensus step over the
     pretrained partitions. Pretraining is greedy and layer-wise, so it never
     sees the alignment term: hp.lam is never read here. Inside a
-    shared_pretraining() block the result is memoised per (dataset object,
-    dims, seed, pretrain_iters), and a later call with the same key returns
-    a fresh copy of it instead of pretraining again.
+    shared_pretraining() block the gauge-fixed views and the initial
+    consensus are memoised per (dataset object, dims, seed, pretrain_iters),
+    and a later call with the same key starts from them without pretraining
+    or a consensus step. Every call returns new factor lists, rotations and
+    weights; the arrays in them are shared, since every update replaces list
+    entries and state fields rather than writing into an array.
     """
     hp.validate()
     dataset.validate()
     dims = validate_layer_dims(
         hp.dims, dataset.k, [x.shape[0] for x in dataset.views], dataset.n
     )
+    nviews = dataset.num_views
+    w = [np.eye(dataset.k) for _ in range(nviews)]
+    alpha = np.full(nviews, 1.0 / nviews)
+    beta = np.full(nviews, 1.0 / np.sqrt(nviews))
     memo = getattr(_shared, "memo", None)
     key = (id(dataset), tuple(dims), hp.seed, hp.pretrain_iters)
     if memo is not None and key in memo:
-        return _copy_start(*memo[key][1:])
-    views = [
-        pretrain_view(x, dims, seed=hp.seed + VIEW_SEED_STRIDE * (v + 1), iters=hp.pretrain_iters)
-        for v, x in enumerate(dataset.views)
-    ]
-    for vf in views:
-        fix_partition_gauge(vf)
-    nviews = len(views)
-    k = dataset.k
-    w = [np.eye(k) for _ in range(nviews)]
-    alpha = np.full(nviews, 1.0 / nviews)
-    beta = np.full(nviews, 1.0 / np.sqrt(nviews))
-    h, _ = update_consensus([vf.h[-1] for vf in views], w, beta)
-    state = FusionState(h=h, w=w, alpha=alpha, beta=beta)
-    if memo is None:
-        return views, state
-    memo[key] = (dataset, views, state)  # the held dataset keeps its id from being reused
-    return _copy_start(views, state)
+        _, views, h = memo[key]
+    else:
+        views = [
+            pretrain_view(x, dims, seed=hp.seed + VIEW_SEED_STRIDE * (v + 1), iters=hp.pretrain_iters)
+            for v, x in enumerate(dataset.views)
+        ]
+        for vf in views:
+            fix_partition_gauge(vf)
+        h, _ = update_consensus([vf.h[-1] for vf in views], w, beta)
+        if memo is not None:
+            memo[key] = (dataset, views, h)  # the held dataset keeps its id from being reused
+    views = [ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h)) for vf in views]
+    return views, FusionState(h=h, w=w, alpha=alpha, beta=beta)
 
 
 def _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate, it):

@@ -46,12 +46,16 @@ def multiplicative_step(x, basis, h, weight=1.0, pull=None):
     return h * np.sqrt(num / (den + EPS))
 
 
-def refit_basis(x, h) -> np.ndarray:
-    """The least-squares basis x @ pinv(h), through h's Gram when it passes gram_inverse."""
+def gram_refit(x, h) -> np.ndarray | None:
+    """x @ pinv(h) as (x @ h.T) @ inv(h @ h.T), or None when gram_inverse declines h."""
     inv = gram_inverse(h)
-    if inv is None:
-        return x @ pinv(h)
-    return (x @ h.T) @ inv
+    return None if inv is None else (x @ h.T) @ inv
+
+
+def refit_basis(x, h) -> np.ndarray:
+    """The least-squares basis x @ pinv(h): gram_refit, or the SVD pinv when it declines."""
+    out = gram_refit(x, h)
+    return x @ pinv(h) if out is None else out
 
 
 def init_layer(x, width: int, seed: int = 0) -> LayerFactors:

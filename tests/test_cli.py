@@ -201,6 +201,25 @@ def test_run_files_do_not_depend_on_thread_count(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_fails_whole_when_any_repeat_fails(tmp_path, monkeypatch, capsys, threads):
+    # results.tsv has no status column, so run writes all repeats or nothing
+    real = cli_module.fit
+
+    def failing(dataset, hp):
+        if hp.seed >= 1:
+            raise NumericalError(f"forced at seed {hp.seed}")
+        return real(dataset, hp)
+
+    monkeypatch.setattr(cli_module, "fit", failing)
+    argv = SMALL_RUN + ["--repeats", "3", "--threads", threads, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: forced at seed ")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "grid"])
 def test_fit_commands_reject_nonpositive_repeats(tmp_path, capsys, command):
     argv = [command, "--synthetic", SMALL_SPEC, "--repeats", "0", "--out", str(tmp_path)]
@@ -438,6 +457,29 @@ def test_grid_reports_the_lowest_seed_failure_of_a_cell(tmp_path, monkeypatch):
     _, rows = _read_rows(tmp_path / "grid" / "grid.tsv")
     assert [r["status"] for r in rows] == ["ok"] * 4 + ["failed", "ok"]
     assert rows[4]["error"] == "forced at seed 1"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_grid_best_cell_is_the_first_row_with_the_highest_accuracy(
+        tmp_path, monkeypatch, capsys, threads):
+    real = cli_module.fit
+
+    def failing(dataset, hp):
+        if hp.lam == 0.5 and hp.dims == [6, 3]:
+            raise NumericalError("forced")
+        return real(dataset, hp)
+
+    monkeypatch.setattr(cli_module, "fit", failing)
+    assert main(FAILING_GRID + ["--threads", threads, "--out", str(tmp_path / "grid")]) == 0
+    _, rows = _read_rows(tmp_path / "grid" / "grid.tsv")
+    assert rows[0]["status"] == "failed"
+    ok = [r for r in rows if r["status"] == "ok"]
+    top = max(float(r["best_acc"]) for r in ok)
+    best = next(r for r in ok if float(r["best_acc"]) == top)
+    assert (
+        f"best cell {best['cell']}: lambda={best['lambda']} dims={best['dims']} "
+        f"acc={best['best_acc']}\n"
+    ) in capsys.readouterr().out
 
 
 def test_grid_records_failed_cells(tmp_path, capsys):

@@ -15,7 +15,7 @@ from mvfuse.deep import (
 )
 from mvfuse.linalg import pinv
 from mvfuse.metrics import accuracy, kmeans
-from mvfuse.seminmf import fit_layer
+from mvfuse.seminmf import fit_layer, refit_basis
 
 
 def _random_vf(rng, d=16, dims=(8, 3), n=40):
@@ -217,6 +217,27 @@ def test_update_basis_takes_the_chain_pinv_when_the_split_does_not_hold(pinv_cal
     assert pinv_calls == [(dims[0], 35)]  # the l x n chain itself
     expect = _basis_oracle(vf, 0)
     assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+@pytest.mark.parametrize("dims", [(3,), (7, 3), (9, 6, 3)])
+def test_last_basis_refit_is_the_single_layer_refit(pinv_calls, dims, zero_row):
+    # the last layer's chain is h_m itself; a zero partition row takes the SVD
+    rng = np.random.default_rng(224)
+    vf = _random_vf(rng, d=14, dims=dims, n=35)
+    if zero_row:
+        vf.h[-1][1] = 0.0
+    got = update_basis(vf, vf.depth - 1)
+    expect = refit_basis(vf.x, vf.h[-1])
+    if vf.depth > 1:
+        left = vf.z[0]
+        for z in vf.z[1:-1]:
+            left = left @ z
+        expect = pinv(left) @ expect
+    assert np.array_equal(got, expect)
+    left_pinv = [(14, dims[-2])] if len(dims) > 1 else []
+    svd_refits = [(3, 35)] * 2 if zero_row else []  # one in update_basis, one in refit_basis
+    assert sorted(pinv_calls) == sorted(svd_refits + left_pinv)
 
 
 def test_update_basis_rejects_bad_layer():
@@ -470,8 +491,8 @@ def test_sweep_leaves_partition_rows_unit():
 @pytest.mark.parametrize("zero_row", [False, True])
 @pytest.mark.parametrize("dims", [(3,), (7, 3), (9, 6, 3)])
 def test_sweep_matches_basis_refits_that_each_recompute_the_partition_terms(dims, zero_row):
-    # sweep_view computes x h_m^T and the Gram inverse of h_m once; each refit
-    # on its own recomputes them. A zero partition row takes the SVD fallback.
+    # sweep_view computes gram_refit(x, h_m) once; each refit on its own
+    # recomputes it. A zero partition row takes the SVD fallback.
     rng = np.random.default_rng(273)
     for _ in range(3):
         vf = _random_vf(rng, d=14, dims=dims, n=30)

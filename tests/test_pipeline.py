@@ -332,6 +332,30 @@ def test_a_fine_tune_leaves_the_shared_start_unchanged():
     assert again[0][0].z is not first[0][0].z and again[1].w is not first[1].w
 
 
+def test_a_shared_start_runs_no_pretraining_and_no_consensus_step(monkeypatch):
+    ds = _small_dataset()
+    hp = HyperParams(lam=1.0, dims=[7, 5, 3], pretrain_iters=5)
+    pretrains = _counting_pretrain(monkeypatch)
+    consensus = []
+    real = pipeline_module.update_consensus
+
+    def counting(*args):
+        consensus.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline_module, "update_consensus", counting)
+    with shared_pretraining():
+        first = init_state(ds, hp)
+        assert (len(pretrains), len(consensus)) == (ds.num_views, 1)
+        again = init_state(ds, replace(hp, lam=4.0))
+    assert (len(pretrains), len(consensus)) == (ds.num_views, 1)
+    _assert_same_start(again, first)
+    (views, state), (views_a, state_a) = first, again
+    assert state_a.w is not state.w
+    for vf, vf_a in zip(views, views_a, strict=True):
+        assert vf_a is not vf and vf_a.z is not vf.z and vf_a.h is not vf.h
+
+
 @pytest.mark.parametrize("change", ["dataset", "dims", "seed", "pretrain_iters"])
 def test_shared_pretraining_misses_on_any_other_start(monkeypatch, change):
     ds = _small_dataset()
