@@ -8,45 +8,72 @@ from scipy.optimize import linear_sum_assignment
 # Cap on Lloyd iterations per restart when labels never reach a fixed point.
 LLOYD_MAX_ITER = 300
 
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
-def _plusplus_centers(points, k, rng):
-    """k-means++ seeding: first center uniform, the rest D^2-weighted."""
+
+def _sqdist_to_point(points, sq_points, twice, i):
+    """Squared distances from every point to points[i] by the norm expansion.
+
+    ||p||^2 + ||c||^2 - 2 p.c costs one matrix-vector product. An entry not
+    above that form's rounding bound, or not finite, is recomputed directly as
+    sum((p - c)**2), so a zero stays exactly zero and only non-zero distances
+    can differ from the direct form, in their last bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # such entries are redone
+        norms = sq_points + sq_points[i]
+        d2 = norms - twice @ points[i]
+        tol = 4.0 * points.shape[1] * (_EPS * norms + _TINY)
+    redo = ~((d2 > tol) & (d2 < np.inf))  # NaN fails both comparisons
+    if redo.any():
+        d2[redo] = np.sum((points[redo] - points[i]) ** 2, axis=1)
+    return d2
+
+
+def _plusplus_centers(points, k, rng, sq_points, twice):
+    """k-means++ seeding: first center uniform, the rest D^2-weighted.
+
+    `sq_points` and `twice` are kmeans's shared point terms; each new center
+    costs one _sqdist_to_point. Exact zeros keep points that coincide with a
+    center at weight zero.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    idx = rng.integers(n)
+    centers[0] = points[idx]
+    d2 = np.inf
     for c in range(1, k):
+        d2 = np.minimum(d2, _sqdist_to_point(points, sq_points, twice, idx))
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ValueError("squared distances between points overflow float64")
         if total > 0:
             idx = rng.choice(n, p=d2 / total)
         else:
             idx = rng.integers(n)  # all remaining points coincide with a center
         centers[c] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
 
 
-def _lloyd(points, rows, centers):
+def _lloyd(points, rows, sq_points, twice, centers):
     """Lloyd iterations from `centers`; `rows` is a row-major copy of `points`.
 
-    The distances are computed on `points` as the caller laid them out, because
-    the summation order of a row reduction or a matmul follows the memory
-    layout; only the centroid gathers read `rows`.
+    `sq_points` and `twice` are kmeans's shared point terms. The distances are
+    computed on `points` as the caller laid them out, because the summation
+    order of a row reduction or a matmul follows the memory layout; only the
+    centroid gathers read `rows`.
     """
     n, k = points.shape[0], centers.shape[0]
+    every = np.arange(n)
     centers = centers.copy()
-    # ||x - c||^2 = ||x||^2 + ||c||^2 - 2 x.c; the first and last terms never change
-    sq_points = np.sum(points**2, axis=1)[:, None]
-    twice = 2.0 * points
     prev = None
     for _ in range(LLOYD_MAX_ITER):
-        d2 = sq_points + np.sum(centers**2, axis=1)[None, :]
+        d2 = sq_points[:, None] + np.sum(centers**2, axis=1)[None, :]
         d2 -= twice @ centers.T
         np.maximum(d2, 0.0, out=d2)  # clamp tiny negatives from cancellation
         labels = np.argmin(d2, axis=1)  # ties break to the lowest center index
-        nearest = d2[np.arange(n), labels]
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
+            nearest = d2[every, labels]
             for c in range(k):
                 if not np.any(labels == c):
                     # empty cluster: reseed at the point farthest from its center
@@ -54,14 +81,14 @@ def _lloyd(points, rows, centers):
                     centers[c] = points[far]
                     d2[:, c] = np.sum((points - centers[c]) ** 2, axis=1)
                     labels = np.argmin(d2, axis=1)
-                    nearest = d2[np.arange(n), labels]
+                    nearest = d2[every, labels]
             counts = np.bincount(labels, minlength=k)
         if prev is not None and np.array_equal(labels, prev):
             break
         prev = labels
         for c in np.flatnonzero(counts):  # a cluster left empty keeps its reseeded center
             centers[c] = rows[labels == c].mean(axis=0)
-    return labels, float(nearest.sum())
+    return labels, float(d2[every, labels].sum())
 
 
 def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
@@ -69,7 +96,12 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
 
     Runs `restarts` independent seedings (restart r uses seed + r) and returns
     the labels of the restart with the smallest within-cluster sum of squares;
-    ties keep the earliest restart.
+    ties keep the earliest restart. Seeding and Lloyd both use the expansion
+    ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c, so ||p||^2 and 2p are computed
+    once per call. The seeding recomputes directly every entry within the
+    expansion's rounding of zero, so points equal to a center keep D^2 weight
+    exactly zero. Raises ValueError when the squared distances overflow
+    float64.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -82,10 +114,12 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rows = np.ascontiguousarray(points)
+    sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
     best_labels, best_inertia = None, np.inf
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        labels, inertia = _lloyd(points, rows, _plusplus_centers(points, k, rng))
+        centers = _plusplus_centers(points, k, rng, sq_points, twice)
+        labels, inertia = _lloyd(points, rows, sq_points, twice, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

@@ -4,9 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.metrics import (
     _lloyd,
+    _plusplus_centers,
+    _sqdist_to_point,
     accuracy,
     contingency,
     hungarian,
@@ -261,11 +266,96 @@ def test_lloyd_matches_the_reference_from_far_off_starts():
                 expected = _reference_lloyd(points, centers)
             except RuntimeWarning:
                 continue
-        got = _lloyd(points, np.ascontiguousarray(points), centers)
+        rows, sq_points = np.ascontiguousarray(points), np.sum(points**2, axis=1)
+        got = _lloyd(points, rows, sq_points, 2.0 * points, centers)
         assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
         compared += 1
         reseeded += len(np.unique(_reference_sqdist(points, centers).argmin(axis=1))) < k
     assert compared >= 60 and reseeded >= 30
+
+
+def _seed_both(points, k, seed):
+    """Centers of the norm-expansion seeding and of the reference; None where it raised."""
+    seeded = []
+    for seeding in (_plusplus_centers, _reference_plusplus_centers):
+        args = (np.sum(points**2, axis=1), 2.0 * points) if seeding is _plusplus_centers else ()
+        try:
+            seeded.append(seeding(points, k, np.random.default_rng(seed), *args))
+        except ValueError:  # a non-finite D^2 total; the reference fails in Generator.choice
+            seeded.append(None)
+    return seeded
+
+
+def _assert_seeding_matches_the_reference(points, k, seed):
+    got, expected = _seed_both(points, k, seed)
+    if expected is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, expected)
+        i = int(np.random.default_rng(seed).integers(points.shape[0]))
+        d2 = _sqdist_to_point(points, np.sum(points**2, axis=1), 2.0 * points, i)
+        assert np.array_equal(d2 == 0, np.sum((points - points[i]) ** 2, axis=1) == 0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 80),
+    d=st.integers(1, 24),
+    k_share=st.floats(0.0, 1.0),
+    duplicated=st.floats(0.0, 0.9),
+    fortran=st.booleans(),
+    scale_exp=st.integers(-320, 153),
+    offset_exp=st.one_of(st.none(), st.integers(-10, 154)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seeding_matches_the_direct_form(n, d, k_share, duplicated, fortran, scale_exp,
+                                         offset_exp, seed):
+    rng = np.random.default_rng(seed)
+    m = max(1, round(n * (1.0 - duplicated)))
+    points = rng.standard_normal((m, d)) * 10.0**scale_exp
+    if offset_exp is not None:
+        points += 10.0**offset_exp
+    points = points[rng.integers(m, size=n)]
+    points = np.asfortranarray(points) if fortran else np.ascontiguousarray(points)
+    k = 1 + round(k_share * (n - 1))
+    _assert_seeding_matches_the_reference(points, k, seed)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_seeding_routes_overflowed_and_underflowed_norms_to_the_direct_form():
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(2, 20))
+        m = max(1, n // 3)
+        if case % 2:  # ||p||^2 overflows, so the expansion reads inf - inf = NaN
+            base = 1e150 * rng.standard_normal((m, d)) + 1e154
+        else:  # every product underflows, so only the absolute floor catches the zeros
+            base = 1e-162 * rng.standard_normal((m, d))
+        points = base[rng.integers(m, size=n)]
+        for layout in (np.asfortranarray, np.ascontiguousarray):
+            _assert_seeding_matches_the_reference(layout(points), int(rng.integers(1, n + 1)), case)
+    # finite norms, and a distance that rounds to inf by the expansion but not directly
+    edge = np.array([[1.9682135682779567e153, 2.3294848506570416e153],
+                     [-5.276539303757837e153, -8.952486134474975e153]])
+    for seed in range(4):
+        assert _seed_both(edge, 2, seed)[1] is not None
+        _assert_seeding_matches_the_reference(edge, 2, seed)
+
+
+def test_seeding_matches_the_reference_on_the_fit_large_views():
+    ds = generate_synthetic(n=3000, k=5, view_dims=[100, 200, 300], noise_sigma=0.1, seed=0)
+    for view in normalize_dataset(ds, "l2-sample").views:
+        points = view.T  # F-ordered, as pretraining hands them to kmeans
+        for seed in range(3):
+            got, expected = _seed_both(points, 20, seed)
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_kmeans_names_a_distance_overflow():
+    points = np.random.default_rng(3).standard_normal((200, 30)) * 1e154
+    with pytest.raises(ValueError, match="squared distances between points overflow float64"):
+        kmeans(points, 8)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
