@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -120,14 +120,7 @@ class Manifest:
         return m
 
     def save(self, path) -> None:
-        payload = {
-            "name": self.name,
-            "k": self.k,
-            "sample_count": self.sample_count,
-            "views": self.views,
-            "truth": self.truth,
-            "normalization": self.normalization,
-        }
+        payload = asdict(self)
         if self.truth is None:
             del payload["truth"]
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
@@ -176,10 +169,17 @@ def read_matrix(path) -> np.ndarray:
         rows, cols = (int(t) for t in lines[0].split())
     except ValueError as exc:
         raise ValueError(f"{path}: header must be 'rows cols', got {lines[0]!r}") from exc
-    body = " ".join(lines[1 : rows + 1])
-    values = np.array(body.split(), dtype=np.float64)
-    if values.size != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, got {values.size}")
+    body = [line.split() for line in lines[1 : rows + 1]]
+    count = sum(len(tokens) for tokens in body)
+    if count != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} values, got {count}")
+    for lineno, tokens in enumerate(body, start=2):
+        if len(tokens) != cols:
+            raise ValueError(f"{path}, line {lineno}: expected {cols} values, got {len(tokens)}")
+    for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
+        if line.strip():
+            raise ValueError(f"{path}, line {lineno}: unexpected content after {rows} rows")
+    values = np.array([t for tokens in body for t in tokens], dtype=np.float64)
     return as_matrix(values.reshape(rows, cols), str(path))
 
 

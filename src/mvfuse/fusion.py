@@ -19,10 +19,10 @@ from mvfuse.linalg import as_matrix, procrustes_max
 
 @dataclass
 class FusionState:
-    h: np.ndarray        # k x n consensus, h @ h.T == I
-    w: list              # per-view k x k rotations, w @ w.T == I
-    alpha: np.ndarray    # view weights on reconstruction, simplex
-    beta: np.ndarray     # view weights on alignment, unit l2 norm, >= 0
+    h: np.ndarray | None  # k x n consensus, h @ h.T == I; None until the first consensus step
+    w: list               # per-view k x k rotations, w @ w.T == I
+    alpha: np.ndarray     # view weights on reconstruction, simplex
+    beta: np.ndarray      # view weights on alignment, unit l2 norm, >= 0
 
     def residuals(self) -> dict:
         """Constraint violations, all ~0 for a healthy state."""

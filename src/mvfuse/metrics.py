@@ -100,8 +100,8 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c, so ||p||^2 and 2p are computed
     once per call. The seeding recomputes directly every entry within the
     expansion's rounding of zero, so points equal to a center keep D^2 weight
-    exactly zero. Raises ValueError when the squared distances overflow
-    float64.
+    exactly zero. Raises ValueError when the squared distances, or the
+    squared norms that Lloyd's distances expand, overflow float64.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -122,6 +122,10 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
         labels, inertia = _lloyd(points, rows, sq_points, twice, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
+    if best_labels is None:  # every inertia is NaN: Lloyd's expansion read inf - inf
+        raise ValueError(
+            "squared norms of the points overflow float64, so Lloyd's distances are not finite"
+        )
     return best_labels
 
 

@@ -1,10 +1,11 @@
 """End-to-end fit: pretrain, alternate the seven update blocks, cluster.
 
-One outer iteration runs, in order: the consensus step, a full fine-tuning
-sweep of every view (basis refits, representation steps, partition step),
-the per-view rotation steps, the alpha step, and the beta step. The joint
-objective is recorded after the beta step; the loop stops when its relative
-change falls below tol or after max_iter iterations.
+From a start that is pretraining alone, one outer iteration runs, in order:
+the consensus step, a full fine-tuning sweep of every view (basis refits,
+representation steps, partition step), the per-view rotation steps, the
+alpha step, and the beta step; iteration 0's consensus step is the first.
+The joint objective is recorded after the beta step; the loop stops when
+its relative change falls below tol or after max_iter iterations.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ def shared_pretraining():
 
     Inside the block, fits that share the dataset object, the layer dims, the
     seed and pretrain_iters -- all init_state reads, so any lam -- start from
-    one pretraining. Results are identical to fits outside a block. The
-    dataset must not change while the block is open. Blocks do not nest.
+    one pretraining: the memo holds the dataset and the gauge-fixed views.
+    Results are identical to fits outside a block. The dataset must not
+    change while the block is open. Blocks do not nest.
     """
     _shared.memo = {}
     try:
@@ -125,13 +127,12 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     """Pretrain every view, then start fusion from neutral weights.
 
     Rotations start at identity, alpha uniform, beta uniform on the unit
-    sphere; the initial consensus comes from one consensus step over the
-    pretrained partitions. Pretraining is greedy and layer-wise, so it never
-    sees the alignment term: hp.lam is never read here. Inside a
-    shared_pretraining() block the gauge-fixed views and the initial
-    consensus are memoised per (dataset object, dims, seed, pretrain_iters),
-    and a later call with the same key starts from them without pretraining
-    or a consensus step. Every call returns new factor lists, rotations and
+    sphere, and the consensus is None: fit's first consensus step computes
+    it. Pretraining is greedy and layer-wise, so it never sees the alignment
+    term: hp.lam is never read here. Inside a shared_pretraining() block the
+    gauge-fixed views are memoised per (dataset object, dims, seed,
+    pretrain_iters), and a later call with the same key starts from them
+    without pretraining. Every call returns new factor lists, rotations and
     weights; the arrays in them are shared, since every update replaces list
     entries and state fields rather than writing into an array.
     """
@@ -147,7 +148,7 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     memo = getattr(_shared, "memo", None)
     key = (id(dataset), tuple(dims), hp.seed, hp.pretrain_iters)
     if memo is not None and key in memo:
-        _, views, h = memo[key]
+        _, views = memo[key]
     else:
         views = [
             pretrain_view(x, dims, seed=hp.seed + VIEW_SEED_STRIDE * (v + 1), iters=hp.pretrain_iters)
@@ -155,11 +156,10 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
         ]
         for vf in views:
             fix_partition_gauge(vf)
-        h, _ = update_consensus([vf.h[-1] for vf in views], w, beta)
         if memo is not None:
-            memo[key] = (dataset, views, h)  # the held dataset keeps its id from being reused
+            memo[key] = (dataset, views)  # the held dataset keeps its id from being reused
     views = [ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h)) for vf in views]
-    return views, FusionState(h=h, w=w, alpha=alpha, beta=beta)
+    return views, FusionState(h=None, w=w, alpha=alpha, beta=beta)
 
 
 def _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate, it):
@@ -202,8 +202,8 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
             h, consensus_degenerate = update_consensus(
                 [vf.h[-1] for vf in views], state.w, state.beta
             )
-            if not consensus_degenerate:
-                state.h = h
+            if not consensus_degenerate or state.h is None:
+                state.h = h  # a first consensus has no previous one to keep
             stage = "view sweep"
             for v, vf in enumerate(views):
                 sweep_view(vf, state.h, state.w[v], state.alpha[v], state.beta[v], hp.lam)

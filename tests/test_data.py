@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,23 @@ def test_read_matrix_rejects_wrong_value_count(tmp_path):
     path.write_text("2 3\n1 2 3\n4 5\n")
     with pytest.raises(ValueError, match="expected 6 values"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("2 3\n1 2 3 4\n5 6\n", "line 2: expected 3 values, got 4"),
+    ("2 3\n1 2 3\n4 5 6\n7 8 9\n", "line 4: unexpected content after 2 rows"),
+])
+def test_read_matrix_rejects_ragged_rows_and_extra_lines(tmp_path, text, problem):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {problem}$"):
+        read_matrix(path)
+
+
+def test_read_matrix_allows_trailing_blank_lines(tmp_path):
+    path = tmp_path / "tail.txt"
+    path.write_text("2 3\n1 2 3\n4 5 6\n\n  \n")
+    assert np.array_equal(read_matrix(path), np.arange(1.0, 7.0).reshape(2, 3))
 
 
 def test_labels_round_trip(tmp_path):

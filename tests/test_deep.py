@@ -4,6 +4,7 @@ import pytest
 from mvfuse.data import generate_synthetic, normalize
 from mvfuse.deep import (
     ViewFactorization,
+    _product,
     fix_partition_gauge,
     pretrain_view,
     reconstruction_loss,
@@ -15,7 +16,8 @@ from mvfuse.deep import (
 )
 from mvfuse.linalg import pinv
 from mvfuse.metrics import accuracy, kmeans
-from mvfuse.seminmf import fit_layer, refit_basis
+from mvfuse.pipeline import HyperParams, init_state
+from mvfuse.seminmf import fit_layer, gram_refit, refit_basis
 
 
 def _random_vf(rng, d=16, dims=(8, 3), n=40):
@@ -510,3 +512,35 @@ def test_sweep_matches_basis_refits_that_each_recompute_the_partition_terms(dims
         sweep_view(vf, consensus, rotation, 0.6, 0.5, 0.8)
         for got, expect in zip(vf.z + vf.h, alone.z + alone.h):
             assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+@pytest.mark.parametrize("dims", [(7, 3), (9, 6, 3)])
+def test_sweep_bases_and_partition_never_read_the_inner_representations(dims, zero_row):
+    # Only update_hidden reads an inner h_i, and what it writes nothing else reads.
+    rng = np.random.default_rng(275)
+    for _ in range(3):
+        vf = _random_vf(rng, d=14, dims=dims, n=30)
+        if zero_row:
+            vf.h[-1][1] = 0.0
+        inner = [rng.uniform(0.05, 1.0, size=h.shape) for h in vf.h[:-1]]
+        other = ViewFactorization(x=vf.x, z=list(vf.z), h=[*inner, vf.h[-1]])
+        consensus = _row_orthonormal(rng, 3, 30)
+        rotation = _row_orthonormal(rng, 3, 3)
+        for view in (vf, other):
+            sweep_view(view, consensus, rotation, 0.6, 0.5, 0.8)
+        for got, expect in zip(other.z + other.h[-1:], vf.z + vf.h[-1:], strict=True):
+            assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("data, dims", [("benchmark_dataset", [12, 3]),
+                                        ("nuisance_dataset", [24, 12, 3])])
+def test_sweep_basis_chain_is_the_single_layer_refit(request, data, dims):
+    # Refitting every basis in turn leaves z_1 ... z_m equal to x pinv(h_m).
+    views, _ = init_state(request.getfixturevalue(data), HyperParams(lam=1.0, dims=dims))
+    for vf in views:
+        x_pinv_hm = gram_refit(vf.x, vf.h[-1])
+        for i in range(vf.depth):
+            vf.z[i] = update_basis(vf, i, x_pinv_hm)
+        gap = np.linalg.norm(_product(vf.z) - x_pinv_hm)
+        assert gap <= 1e-12 * np.linalg.norm(x_pinv_hm)

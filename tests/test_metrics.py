@@ -358,6 +358,18 @@ def test_kmeans_names_a_distance_overflow():
         kmeans(points, 8)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_kmeans_names_a_squared_norm_overflow():
+    # Pairwise distances stay finite, so the seeding succeeds; Lloyd's
+    # expansion ||p||^2 + ||c||^2 - 2 p.c then reads inf - inf on every restart.
+    rng = np.random.default_rng(5)
+    centers = 10.0 * rng.standard_normal((3, 4))
+    points, _ = _blobs(rng, 50, centers)
+    with pytest.raises(ValueError, match="squared norms of the points overflow float64"):
+        kmeans(points * 1e140 + 1e154, 3, restarts=3)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kmeans_all_equal_points():
     labels = kmeans(np.full((20, 3), 0.5), 4, restarts=3, seed=0)

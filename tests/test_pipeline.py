@@ -65,7 +65,7 @@ def test_init_state_starts_from_neutral_weights():
     assert np.allclose(state.beta, np.full(2, 1.0 / np.sqrt(2.0)))
     for w in state.w:
         assert np.array_equal(w, np.eye(3))
-    assert np.allclose(state.h @ state.h.T, np.eye(3), atol=1e-12)
+    assert state.h is None  # fit's first consensus step computes it
     for vf in views:
         assert np.allclose(np.linalg.norm(vf.h[-1], axis=1), 1.0, atol=1e-12)
         assert all(h.min() >= 0 for h in vf.h)
@@ -259,24 +259,46 @@ def test_constant_view_refits_fall_back_to_the_svd(pinv_calls):
     assert (3, 40) in pinv_calls and (6, 40) in pinv_calls
 
 
-def test_fit_keeps_previous_consensus_on_degenerate_step(monkeypatch):
-    # Every consensus step after init_state's is flagged degenerate, so the
-    # consensus init_state chose must survive every iteration unchanged.
+def _flag_consensus(monkeypatch, first_degenerate):
+    """Flag every consensus step after fit's first degenerate, the first one
+    too when first_degenerate; returns the list of every h computed."""
     real = pipeline_module.update_consensus
-    first = []
+    computed = []
 
     def flagged(*args):
         h, degenerate = real(*args)
-        if not first:
-            first.append(h)
-            return h, degenerate
-        return h, True
+        computed.append(h)
+        return h, first_degenerate or len(computed) > 1 or degenerate
 
     monkeypatch.setattr(pipeline_module, "update_consensus", flagged)
+    return computed
+
+
+def test_fit_keeps_previous_consensus_on_degenerate_step(monkeypatch):
+    # Every consensus step after fit's first is flagged degenerate, so the
+    # first consensus must survive every iteration unchanged.
+    computed = _flag_consensus(monkeypatch, first_degenerate=False)
     res = fit(_small_dataset(), HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
     assert res.iterations_run == 5
-    assert all(rec.consensus_degenerate for rec in res.history)
-    assert res.h is first[0]
+    assert [rec.consensus_degenerate for rec in res.history] == [False, True, True, True, True]
+    assert len(computed) == 5 and res.h is computed[0]
+
+
+def test_fit_takes_a_first_consensus_flagged_degenerate(monkeypatch):
+    # There is no earlier consensus to keep, so the first step's h is taken.
+    computed = _flag_consensus(monkeypatch, first_degenerate=True)
+    res = fit(_small_dataset(), HyperParams(lam=1.0, dims=[6, 3], max_iter=3))
+    assert [rec.consensus_degenerate for rec in res.history] == [True, True, True]
+    assert res.h is computed[0]
+
+
+def test_fit_names_a_failing_first_consensus_step(monkeypatch):
+    def boom(*args):
+        raise NumericalError("synthetic failure")
+
+    monkeypatch.setattr(pipeline_module, "update_consensus", boom)
+    with pytest.raises(NumericalError, match="^iteration 0, consensus block: synthetic failure$"):
+        fit(_small_dataset(), HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +368,10 @@ def test_a_shared_start_runs_no_pretraining_and_no_consensus_step(monkeypatch):
     monkeypatch.setattr(pipeline_module, "update_consensus", counting)
     with shared_pretraining():
         first = init_state(ds, hp)
-        assert (len(pretrains), len(consensus)) == (ds.num_views, 1)
+        assert (len(pretrains), len(consensus)) == (ds.num_views, 0)
         again = init_state(ds, replace(hp, lam=4.0))
-    assert (len(pretrains), len(consensus)) == (ds.num_views, 1)
+    assert (len(pretrains), len(consensus)) == (ds.num_views, 0)
+    assert first[1].h is None and again[1].h is None
     _assert_same_start(again, first)
     (views, state), (views_a, state_a) = first, again
     assert state_a.w is not state.w
