@@ -121,7 +121,8 @@ def _hyper_params(args, lam, dims, lam_flag) -> HyperParams:
     except ValueError as exc:  # validate() names the field first; name its flag instead
         field, rule = str(exc).split(" ", 1)
         flags = {"lam": lam_flag, "max_iter": "--max-iter", "tol": "--tol",
-                 "kmeans_restarts": "--restarts", "pretrain_iters": "--pretrain-iters"}
+                 "kmeans_restarts": "--restarts", "pretrain_iters": "--pretrain-iters",
+                 "seed": "--seed"}
         raise ValueError(f"{flags[field]} {rule}") from None
 
 

@@ -327,6 +327,8 @@ def generate_synthetic(
         raise ValueError("noise_sigma must be >= 0")
     if nuisance_dim < 0:
         raise ValueError("nuisance_dim must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     counts = np.full(k, n // k)
     counts[: n % k] += 1

@@ -54,41 +54,96 @@ def _plusplus_centers(points, k, rng, sq_points, twice):
     return centers
 
 
-def _lloyd(points, rows, sq_points, twice, centers):
-    """Lloyd iterations from `centers`; `rows` is a row-major copy of `points`.
+def _reseed_empty(points, d2, labels, centers):
+    """Reseed one restart's empty clusters in place; returns its cluster counts.
 
+    Each empty cluster moves to the point farthest from its center, and the
+    labels are reassigned after every move.
+    """
+    n, k = d2.shape
+    every = np.arange(n)
+    nearest = d2[every, labels]
+    for c in range(k):
+        if not np.any(labels == c):
+            far = int(np.argmax(nearest))
+            centers[c] = points[far]
+            d2[:, c] = np.sum((points - centers[c]) ** 2, axis=1)
+            np.argmin(d2, axis=1, out=labels)
+            nearest = d2[every, labels]
+    return np.bincount(labels, minlength=k)
+
+
+def _update_centers(points, rows, labels, counts, centers, tiles):
+    """Move each non-empty cluster's center to its members' mean, in place.
+
+    rows[labels == c].mean(axis=0) adds a cluster's members in row order when
+    d >= 2. So does a bincount over (restart, cluster) slots, one column at a
+    time, with that column tiled over the stack into the (R, n) `tiles`: d
+    calls in all instead of one mean per restart and cluster, used where
+    d <= m * k. Elsewhere, and for d == 1, whose mean sums pairwise, the loop
+    runs per cluster. A cluster left empty keeps its reseeded center.
+    """
+    m, k, d = centers.shape
+    if 2 <= d <= m * k:
+        slots = (labels + k * np.arange(m)[:, None]).ravel()
+        weights, sums = tiles[:m], np.empty((m * k, d))
+        for j in range(d):
+            weights[:] = points[:, j]
+            sums[:, j] = np.bincount(slots, weights=weights.ravel(), minlength=m * k)
+        np.divide(sums.reshape(m, k, d), counts[:, :, None], out=centers,
+                  where=counts[:, :, None] > 0)
+        return
+    for r in range(m):
+        for c in np.flatnonzero(counts[r]):
+            centers[r, c] = rows[labels[r] == c].mean(axis=0)
+
+
+def _lloyd(points, rows, sq_points, twice, centers):
+    """Lloyd iterations from a stack of starts, advanced in lock-step.
+
+    `centers` is (R, k, d), one start per restart; returns the (R, n) labels
+    and the (R,) inertias. `rows` is a row-major copy of `points`, and
     `sq_points` and `twice` are kmeans's shared point terms. The distances are
     computed on `points` as the caller laid them out, because the summation
     order of a row reduction or a matmul follows the memory layout; only the
-    centroid gathers read `rows`.
+    per-cluster means read `rows`. np.matmul over the stack makes one product
+    per restart with that restart's own operands, so every restart computes
+    what it would alone, bit for bit. A restart leaves the stack once its
+    labels repeat.
     """
-    n, k = points.shape[0], centers.shape[0]
+    n = points.shape[0]
+    R, k, _ = centers.shape
     every = np.arange(n)
+    prod, dist = np.empty((R, n, k)), np.empty((R, n, k))
+    buf, tiles = np.empty((R, n), dtype=np.intp), np.empty((R, n))
+    out_labels, out_inertia = np.empty((R, n), dtype=np.intp), np.empty(R)
+    alive, prev = np.arange(R), None
     centers = centers.copy()
-    prev = None
-    for _ in range(LLOYD_MAX_ITER):
-        d2 = sq_points[:, None] + np.sum(centers**2, axis=1)[None, :]
-        d2 -= twice @ centers.T
+    for it in range(LLOYD_MAX_ITER):
+        m = alive.size
+        d2, labels = dist[:m], buf[:m]
+        np.add(sq_points[:, None], np.sum(centers**2, axis=2)[:, None, :], out=d2)
+        d2 -= np.matmul(twice, centers.transpose(0, 2, 1), out=prod[:m])
         np.maximum(d2, 0.0, out=d2)  # clamp tiny negatives from cancellation
-        labels = np.argmin(d2, axis=1)  # ties break to the lowest center index
-        counts = np.bincount(labels, minlength=k)
-        if not counts.all():
-            nearest = d2[every, labels]
-            for c in range(k):
-                if not np.any(labels == c):
-                    # empty cluster: reseed at the point farthest from its center
-                    far = int(np.argmax(nearest))
-                    centers[c] = points[far]
-                    d2[:, c] = np.sum((points - centers[c]) ** 2, axis=1)
-                    labels = np.argmin(d2, axis=1)
-                    nearest = d2[every, labels]
-            counts = np.bincount(labels, minlength=k)
-        if prev is not None and np.array_equal(labels, prev):
+        np.argmin(d2, axis=2, out=labels)  # ties break to the lowest center index
+        counts = np.bincount((labels + k * np.arange(m)[:, None]).ravel(), minlength=m * k)
+        counts = counts.reshape(m, k)
+        for r in np.flatnonzero(~counts.all(axis=1)):
+            counts[r] = _reseed_empty(points, d2[r], labels[r], centers[r])
+        done = np.full(m, it == LLOYD_MAX_ITER - 1)
+        if prev is not None:
+            done |= (labels == prev).all(axis=1)
+        for r in np.flatnonzero(done):
+            out_labels[alive[r]] = labels[r]
+            out_inertia[alive[r]] = d2[r][every, labels[r]].sum()
+        if done.all():
             break
-        prev = labels
-        for c in np.flatnonzero(counts):  # a cluster left empty keeps its reseeded center
-            centers[c] = rows[labels == c].mean(axis=0)
-    return labels, float(d2[every, labels].sum())
+        if done.any():
+            keep = ~done
+            alive, centers, labels, counts = alive[keep], centers[keep], labels[keep], counts[keep]
+        prev = labels.copy()
+        _update_centers(points, rows, labels, counts, centers, tiles)
+    return out_labels, out_inertia
 
 
 def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
@@ -96,7 +151,10 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
 
     Runs `restarts` independent seedings (restart r uses seed + r) and returns
     the labels of the restart with the smallest within-cluster sum of squares;
-    ties keep the earliest restart. Seeding and Lloyd both use the expansion
+    ties keep the earliest restart. The restarts run in lock-step: each
+    iteration advances every restart still moving with one stacked distance
+    product and one argmin, and each restart's labels equal what it reaches
+    alone. Seeding and Lloyd both use the expansion
     ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c, so ||p||^2 and 2p are computed
     once per call. The seeding recomputes directly every entry within the
     expansion's rounding of zero, so points equal to a center keep D^2 weight
@@ -113,20 +171,22 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rows = np.ascontiguousarray(points)
     sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
-    best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        centers = _plusplus_centers(points, k, rng, sq_points, twice)
-        labels, inertia = _lloyd(points, rows, sq_points, twice, centers)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    if best_labels is None:  # every inertia is NaN: Lloyd's expansion read inf - inf
+    starts = np.stack([
+        _plusplus_centers(points, k, np.random.default_rng(seed + r), sq_points, twice)
+        for r in range(restarts)
+    ])
+    labels, inertia = _lloyd(points, rows, sq_points, twice, starts)
+    inertia[~(inertia < np.inf)] = np.inf  # NaN is never the best
+    best = int(np.argmin(inertia))  # the first of equal minima
+    if inertia[best] == np.inf:  # no finite inertia: Lloyd's expansion read inf - inf
         raise ValueError(
             "squared norms of the points overflow float64, so Lloyd's distances are not finite"
         )
-    return best_labels
+    return labels[best].copy()  # owns its memory, so a kept result frees the stack
 
 
 def hungarian(cost) -> np.ndarray:

@@ -55,11 +55,12 @@ class HyperParams:
 
     def validate(self) -> "HyperParams":
         for name, ok, rule in (
-            ("lam", self.lam >= 0, ">= 0"),
+            ("lam", 0 <= self.lam < np.inf, "finite and >= 0"),
             ("max_iter", self.max_iter >= 1, ">= 1"),
-            ("tol", self.tol > 0, "> 0"),
+            ("tol", 0 < self.tol < np.inf, "finite and > 0"),
             ("kmeans_restarts", self.kmeans_restarts >= 1, ">= 1"),
             ("pretrain_iters", self.pretrain_iters >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")

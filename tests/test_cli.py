@@ -508,6 +508,7 @@ OUT_OF_RANGE_OPTIONS = [
     (["--tol", "0"], "tol"),
     (["--pretrain-iters", "-1"], "pretrain_iters"),
     (["--lambdas=1,-0.5"], "lam"),
+    (["--seed", "-1"], "seed"),
 ]
 
 
@@ -535,6 +536,23 @@ def test_grid_rejects_out_of_range_fit_options_before_any_fit(tmp_path, capsys, 
 ])
 def test_run_rejects_out_of_range_fit_options_by_flag(tmp_path, capsys, option, field):
     _assert_names_flag(tmp_path, capsys, SMALL_RUN + option, option[0], field)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SMALL_RUN + ["--lambda", "inf"], "--lambda"),
+    (SMALL_RUN + ["--tol", "inf"], "--tol"),
+    (["grid", "--synthetic", SMALL_SPEC, "--lambdas", "1,inf", "--schemes", "p2", "--p2-l1", "2"],
+     "--lambdas"),
+])
+def test_fit_commands_name_the_flag_of_a_non_finite_value(tmp_path, capsys, argv, flag):
+    _assert_names_flag(tmp_path, capsys, argv, flag)
+
+
+def test_synth_names_a_negative_spec_seed(tmp_path, capsys):
+    argv = ["synth", "--synthetic", "n=30,k=2,dims=6,seed=-1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

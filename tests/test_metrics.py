@@ -267,11 +267,74 @@ def test_lloyd_matches_the_reference_from_far_off_starts():
             except RuntimeWarning:
                 continue
         rows, sq_points = np.ascontiguousarray(points), np.sum(points**2, axis=1)
-        got = _lloyd(points, rows, sq_points, 2.0 * points, centers)
+        got = [out[0] for out in _lloyd(points, rows, sq_points, 2.0 * points, centers[None])]
         assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
         compared += 1
         reseeded += len(np.unique(_reference_sqdist(points, centers).argmin(axis=1))) < k
     assert compared >= 60 and reseeded >= 30
+
+
+def test_lloyd_stack_matches_the_reference_per_start():
+    # far-off starts empty clusters, starts on the data rarely do; a stack mixes
+    # both, so its restarts reseed, converge and leave the stack at different times
+    rng = np.random.default_rng(43)
+    mixed = 0
+    for points, k in _kmeans_cases(rng):
+        n, d = points.shape
+        starts, expected, emptied = [], [], []
+        for far in rng.permutation([True, False] * 3):
+            if far:
+                centers = 3.0 + 4.0 * rng.standard_normal((k, d))
+            else:
+                centers = points[rng.choice(n, k, replace=False)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    expected.append(_reference_lloyd(points, centers))
+                except RuntimeWarning:
+                    continue
+            starts.append(centers)
+            emptied.append(len(np.unique(_reference_sqdist(points, centers).argmin(axis=1))) < k)
+        if not starts:
+            continue
+        rows, sq_points = np.ascontiguousarray(points), np.sum(points**2, axis=1)
+        labels, inertia = _lloyd(points, rows, sq_points, 2.0 * points, np.stack(starts))
+        for r, (want_labels, want_inertia) in enumerate(expected):
+            assert np.array_equal(labels[r], want_labels) and inertia[r] == want_inertia
+        mixed += any(emptied) and not all(emptied)
+    assert mixed >= 30
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 6),
+    k_share=st.floats(0.0, 1.0),
+    restarts=st.integers(1, 6),
+    coarse=st.booleans(),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeans_returns_the_best_of_its_single_restarts(n, d, k_share, restarts, coarse,
+                                                        fortran, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    if coarse:  # a grid of few values: duplicate points and exact distance ties
+        points = np.round(points) / 2.0
+    points = np.asfortranarray(points) if fortran else np.ascontiguousarray(points)
+    k = 1 + round(k_share * (n - 1))
+    rows, sq_points, twice = np.ascontiguousarray(points), np.sum(points**2, axis=1), 2.0 * points
+    singles, inertias = [], []
+    for r in range(restarts):
+        single = kmeans(points, k, restarts=1, seed=seed + r)
+        start = _plusplus_centers(points, k, np.random.default_rng(seed + r), sq_points, twice)
+        labels, inertia = _lloyd(points, rows, sq_points, twice, start[None])
+        assert np.array_equal(single, labels[0])
+        singles.append(single)
+        inertias.append(inertia[0])
+    got = kmeans(points, k, restarts=restarts, seed=seed)
+    assert np.array_equal(got, singles[int(np.argmin(inertias))])  # the first of equal minima
+    assert got.base is None
 
 
 def _seed_both(points, k, seed):
@@ -368,6 +431,11 @@ def test_kmeans_names_a_squared_norm_overflow():
     points, _ = _blobs(rng, 50, centers)
     with pytest.raises(ValueError, match="squared norms of the points overflow float64"):
         kmeans(points * 1e140 + 1e154, 3, restarts=3)
+
+
+def test_kmeans_names_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        kmeans(np.random.default_rng(0).standard_normal((10, 2)), 2, restarts=3, seed=-1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -45,6 +45,20 @@ def test_hyperparams_validation():
         HyperParams(lam=1.0, dims=[6, 3], pretrain_iters=-1).validate()
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("seed", -1, ">= 0"),
+    ("lam", np.inf, "finite and >= 0"),
+    ("lam", np.nan, "finite and >= 0"),
+    ("tol", np.inf, "finite and > 0"),
+    ("tol", np.nan, "finite and > 0"),
+])
+def test_hyperparams_name_a_negative_seed_and_a_non_finite_value(field, value, rule):
+    hp = HyperParams(lam=1.0, dims=[6, 3])
+    setattr(hp, field, value)
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+        hp.validate()
+
+
 def test_check_convergence():
     assert check_convergence([10.0, 10.0 + 1e-9], 1e-6)
     assert not check_convergence([10.0, 10.1], 1e-6)
