@@ -7,6 +7,9 @@ from scipy.optimize import linear_sum_assignment
 
 # Cap on Lloyd iterations per restart when labels never reach a fixed point.
 LLOYD_MAX_ITER = 300
+# Floats in each of Lloyd's (restarts, n, k) product and distance buffers: a
+# call's restarts run in groups that fit, so memory does not grow with their count.
+LLOYD_STACK_FLOATS = 1 << 20
 
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
@@ -73,63 +76,65 @@ def _reseed_empty(points, d2, labels, centers):
     return np.bincount(labels, minlength=k)
 
 
-def _update_centers(points, rows, labels, counts, centers, tiles):
+def _update_centers(columns, slots, labels, counts, centers):
     """Move each non-empty cluster's center to its members' mean, in place.
 
-    rows[labels == c].mean(axis=0) adds a cluster's members in row order when
-    d >= 2. So does a bincount over (restart, cluster) slots, one column at a
-    time, with that column tiled over the stack into the (R, n) `tiles`: d
-    calls in all instead of one mean per restart and cluster, used where
-    d <= m * k. Elsewhere, and for d == 1, whose mean sums pairwise, the loop
-    runs per cluster. A cluster left empty keeps its reseeded center.
+    `columns` is the (d, n) transpose of the points, C-contiguous, and `slots`
+    numbers each point's (restart, cluster) pair in the stack. A member mean
+    points[labels == c].mean(axis=0) adds the members in row order when
+    d >= 2, and so does a bincount over the slots with one column tiled
+    across the stack as weights: d calls in all instead of one mean per
+    restart and cluster. For d == 1, whose mean sums pairwise, the loop runs
+    per cluster. A cluster left empty keeps its reseeded center.
     """
     m, k, d = centers.shape
-    if 2 <= d <= m * k:
-        slots = (labels + k * np.arange(m)[:, None]).ravel()
-        weights, sums = tiles[:m], np.empty((m * k, d))
+    if d >= 2:
+        flat, weights, sums = slots.ravel(), np.empty(slots.shape), np.empty((m * k, d))
         for j in range(d):
-            weights[:] = points[:, j]
-            sums[:, j] = np.bincount(slots, weights=weights.ravel(), minlength=m * k)
+            weights[:] = columns[j]
+            sums[:, j] = np.bincount(flat, weights=weights.ravel(), minlength=m * k)
         np.divide(sums.reshape(m, k, d), counts[:, :, None], out=centers,
                   where=counts[:, :, None] > 0)
         return
     for r in range(m):
         for c in np.flatnonzero(counts[r]):
-            centers[r, c] = rows[labels[r] == c].mean(axis=0)
+            centers[r, c] = columns.T[labels[r] == c].mean(axis=0)
 
 
-def _lloyd(points, rows, sq_points, twice, centers):
+def _lloyd(points, sq_points, twice, centers):
     """Lloyd iterations from a stack of starts, advanced in lock-step.
 
     `centers` is (R, k, d), one start per restart; returns the (R, n) labels
-    and the (R,) inertias. `rows` is a row-major copy of `points`, and
-    `sq_points` and `twice` are kmeans's shared point terms. The distances are
-    computed on `points` as the caller laid them out, because the summation
-    order of a row reduction or a matmul follows the memory layout; only the
-    per-cluster means read `rows`. np.matmul over the stack makes one product
-    per restart with that restart's own operands, so every restart computes
-    what it would alone, bit for bit. A restart leaves the stack once its
-    labels repeat.
+    and the (R,) inertias. `sq_points` and `twice` are kmeans's shared point
+    terms. The distances are computed on `points` as the caller laid them
+    out, because the summation order of a row reduction or a matmul follows
+    the memory layout; only the per-cluster means read a contiguous copy of
+    the columns, which is `points.T` itself for Fortran-ordered points.
+    np.matmul over the stack makes one product per restart with that
+    restart's own operands, so every restart computes what it would alone,
+    bit for bit. A restart leaves the stack once its labels repeat.
     """
     n = points.shape[0]
     R, k, _ = centers.shape
-    every = np.arange(n)
+    columns = np.ascontiguousarray(points.T)
+    every, offsets = np.arange(n), k * np.arange(R)[:, None]
     prod, dist = np.empty((R, n, k)), np.empty((R, n, k))
-    buf, tiles = np.empty((R, n), dtype=np.intp), np.empty((R, n))
+    buf, slot_buf = np.empty((R, n), dtype=np.intp), np.empty((R, n), dtype=np.intp)
     out_labels, out_inertia = np.empty((R, n), dtype=np.intp), np.empty(R)
     alive, prev = np.arange(R), None
     centers = centers.copy()
     for it in range(LLOYD_MAX_ITER):
         m = alive.size
-        d2, labels = dist[:m], buf[:m]
+        d2, labels, slots = dist[:m], buf[:m], slot_buf[:m]
         np.add(sq_points[:, None], np.sum(centers**2, axis=2)[:, None, :], out=d2)
         d2 -= np.matmul(twice, centers.transpose(0, 2, 1), out=prod[:m])
         np.maximum(d2, 0.0, out=d2)  # clamp tiny negatives from cancellation
         np.argmin(d2, axis=2, out=labels)  # ties break to the lowest center index
-        counts = np.bincount((labels + k * np.arange(m)[:, None]).ravel(), minlength=m * k)
-        counts = counts.reshape(m, k)
+        np.add(labels, offsets[:m], out=slots)
+        counts = np.bincount(slots.ravel(), minlength=m * k).reshape(m, k)
         for r in np.flatnonzero(~counts.all(axis=1)):
             counts[r] = _reseed_empty(points, d2[r], labels[r], centers[r])
+            np.add(labels[r], offsets[r], out=slots[r])
         done = np.full(m, it == LLOYD_MAX_ITER - 1)
         if prev is not None:
             done |= (labels == prev).all(axis=1)
@@ -141,8 +146,9 @@ def _lloyd(points, rows, sq_points, twice, centers):
         if done.any():
             keep = ~done
             alive, centers, labels, counts = alive[keep], centers[keep], labels[keep], counts[keep]
+            slots = labels + offsets[:alive.size]
         prev = labels.copy()
-        _update_centers(points, rows, labels, counts, centers, tiles)
+        _update_centers(columns, slots, labels, counts, centers)
     return out_labels, out_inertia
 
 
@@ -151,10 +157,11 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
 
     Runs `restarts` independent seedings (restart r uses seed + r) and returns
     the labels of the restart with the smallest within-cluster sum of squares;
-    ties keep the earliest restart. The restarts run in lock-step: each
-    iteration advances every restart still moving with one stacked distance
-    product and one argmin, and each restart's labels equal what it reaches
-    alone. Seeding and Lloyd both use the expansion
+    ties keep the earliest restart. The restarts run in lock-step, in groups
+    of at most LLOYD_STACK_FLOATS // (n * k): each iteration advances every
+    restart of the group still moving with one stacked distance product and
+    one argmin, and each restart's labels equal what it reaches alone.
+    Seeding and Lloyd both use the expansion
     ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c, so ||p||^2 and 2p are computed
     once per call. The seeding recomputes directly every entry within the
     expansion's rounding of zero, so points equal to a center keep D^2 weight
@@ -173,20 +180,24 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
         raise ValueError("restarts must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rows = np.ascontiguousarray(points)
     sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
-    starts = np.stack([
-        _plusplus_centers(points, k, np.random.default_rng(seed + r), sq_points, twice)
-        for r in range(restarts)
-    ])
-    labels, inertia = _lloyd(points, rows, sq_points, twice, starts)
-    inertia[~(inertia < np.inf)] = np.inf  # NaN is never the best
-    best = int(np.argmin(inertia))  # the first of equal minima
-    if inertia[best] == np.inf:  # no finite inertia: Lloyd's expansion read inf - inf
+    group = max(1, LLOYD_STACK_FLOATS // (n * k))
+    best, best_inertia = None, np.inf
+    for first in range(0, restarts, group):
+        starts = np.stack([
+            _plusplus_centers(points, k, np.random.default_rng(seed + r), sq_points, twice)
+            for r in range(first, min(first + group, restarts))
+        ])
+        labels, inertia = _lloyd(points, sq_points, twice, starts)
+        inertia[~(inertia < np.inf)] = np.inf  # NaN is never the best
+        r = int(np.argmin(inertia))  # the first of equal minima
+        if best is None or inertia[r] < best_inertia:
+            best, best_inertia = labels[r].copy(), inertia[r]  # owns its memory
+    if best_inertia == np.inf:  # no finite inertia: Lloyd's expansion read inf - inf
         raise ValueError(
             "squared norms of the points overflow float64, so Lloyd's distances are not finite"
         )
-    return labels[best].copy()  # owns its memory, so a kept result frees the stack
+    return best
 
 
 def hungarian(cost) -> np.ndarray:

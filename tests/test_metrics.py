@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvfuse import metrics
 from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.metrics import (
     _lloyd,
@@ -266,8 +267,8 @@ def test_lloyd_matches_the_reference_from_far_off_starts():
                 expected = _reference_lloyd(points, centers)
             except RuntimeWarning:
                 continue
-        rows, sq_points = np.ascontiguousarray(points), np.sum(points**2, axis=1)
-        got = [out[0] for out in _lloyd(points, rows, sq_points, 2.0 * points, centers[None])]
+        sq_points = np.sum(points**2, axis=1)
+        got = [out[0] for out in _lloyd(points, sq_points, 2.0 * points, centers[None])]
         assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
         compared += 1
         reseeded += len(np.unique(_reference_sqdist(points, centers).argmin(axis=1))) < k
@@ -297,8 +298,8 @@ def test_lloyd_stack_matches_the_reference_per_start():
             emptied.append(len(np.unique(_reference_sqdist(points, centers).argmin(axis=1))) < k)
         if not starts:
             continue
-        rows, sq_points = np.ascontiguousarray(points), np.sum(points**2, axis=1)
-        labels, inertia = _lloyd(points, rows, sq_points, 2.0 * points, np.stack(starts))
+        sq_points = np.sum(points**2, axis=1)
+        labels, inertia = _lloyd(points, sq_points, 2.0 * points, np.stack(starts))
         for r, (want_labels, want_inertia) in enumerate(expected):
             assert np.array_equal(labels[r], want_labels) and inertia[r] == want_inertia
         mixed += any(emptied) and not all(emptied)
@@ -323,18 +324,39 @@ def test_kmeans_returns_the_best_of_its_single_restarts(n, d, k_share, restarts,
         points = np.round(points) / 2.0
     points = np.asfortranarray(points) if fortran else np.ascontiguousarray(points)
     k = 1 + round(k_share * (n - 1))
-    rows, sq_points, twice = np.ascontiguousarray(points), np.sum(points**2, axis=1), 2.0 * points
+    sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
     singles, inertias = [], []
     for r in range(restarts):
         single = kmeans(points, k, restarts=1, seed=seed + r)
         start = _plusplus_centers(points, k, np.random.default_rng(seed + r), sq_points, twice)
-        labels, inertia = _lloyd(points, rows, sq_points, twice, start[None])
+        labels, inertia = _lloyd(points, sq_points, twice, start[None])
         assert np.array_equal(single, labels[0])
         singles.append(single)
         inertias.append(inertia[0])
     got = kmeans(points, k, restarts=restarts, seed=seed)
     assert np.array_equal(got, singles[int(np.argmin(inertias))])  # the first of equal minima
     assert got.base is None
+
+
+def test_kmeans_restart_groups_keep_the_best_restart(monkeypatch):
+    # a small buffer budget splits a call's restarts into groups; the split must
+    # not change which restart wins, the earliest of equal minima included
+    rng = np.random.default_rng(53)
+    tied = 0
+    for _ in range(20):
+        n, d, k = int(rng.integers(8, 40)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        points = np.round(rng.standard_normal((n, d))) / 2.0  # coarse: exact ties
+        seed, restarts = int(rng.integers(1000)), 7
+        whole = kmeans(points, k, restarts=restarts, seed=seed)
+        for group in (1, 2, 3):
+            monkeypatch.setattr(metrics, "LLOYD_STACK_FLOATS", group * n * k)
+            assert np.array_equal(kmeans(points, k, restarts=restarts, seed=seed), whole)
+        monkeypatch.undo()
+        singles = [kmeans(points, k, seed=seed + r) for r in range(restarts)]
+        ss = [within_cluster_ss(points, labels) for labels in singles]
+        tied += any(np.isclose(s, min(ss)) and not np.array_equal(labels, whole)
+                    for s, labels in zip(ss, singles))
+    assert tied >= 5
 
 
 def _seed_both(points, k, seed):
