@@ -11,6 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from mvfuse.data import (
+    DEFAULT_FORMAT,
+    DEFAULT_NORMALIZATION,
+    MATRIX_FORMATS,
     NORMALIZATION_SCHEMES,
     Manifest,
     generate_synthetic,
@@ -25,6 +28,7 @@ from mvfuse.metrics import accuracy, nmi, purity
 from mvfuse.pipeline import HyperParams, fit, shared_pretraining
 
 LAMBDA_EXPONENTS = range(-12, 6)          # 2^-12 .. 2^5, 18 values
+SCHEME_KINDS = ("p2", "p3")               # two- and three-layer scheme families
 P2_L1_MULTIPLIERS = (4, 5, 6)             # two-layer schemes [c*k, k]
 P3_L1_MULTIPLIERS = (8, 10, 12)           # three-layer schemes [c1*k, c2*k, k]
 P3_L2_MULTIPLIERS = (4, 5, 6)
@@ -34,7 +38,7 @@ def lambda_grid() -> list[float]:
     return [float(2.0**e) for e in LAMBDA_EXPONENTS]
 
 
-def layer_schemes(k, kinds=("p2", "p3"), p2_l1=P2_L1_MULTIPLIERS,
+def layer_schemes(k, kinds=SCHEME_KINDS, p2_l1=P2_L1_MULTIPLIERS,
                   p3_l1=P3_L1_MULTIPLIERS, p3_l2=P3_L2_MULTIPLIERS):
     schemes = []
     if "p2" in kinds:
@@ -52,9 +56,12 @@ def _fmt(x) -> str:
 
 def _parse_list(text, flag, parse=int):
     try:
-        return [parse(t) for t in str(text).split(",") if t != ""]
-    except ValueError as exc:
-        raise ValueError(f"{flag} must be a comma-separated {parse.__name__} list, got {text!r}") from exc
+        values = [parse(t) for t in str(text).split(",") if t != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"{flag} must be a non-empty comma-separated {parse.__name__} list, got {text!r}")
+    return values
 
 
 # Synthetic spec key -> (generate_synthetic keyword, value parser), for run, grid and synth.
@@ -107,23 +114,24 @@ def _load_data(args):
     if args.manifest:
         scheme = args.norm or Manifest.load(args.manifest).normalization
         return load_dataset(args.manifest, normalization=scheme), scheme
-    scheme = args.norm or "l2-sample"
+    scheme = args.norm or DEFAULT_NORMALIZATION
     dataset = generate_synthetic(**_parse_synthetic_spec(args.synthetic))
     return normalize_dataset(dataset, scheme), scheme
 
 
-def _hyper_params(args, lam, dims, lam_flag) -> HyperParams:
+# HyperParams field -> the run/grid flag that sets it; lam's flag is per command.
+FIT_FLAGS = {"max_iter": "--max-iter", "tol": "--tol", "kmeans_restarts": "--restarts",
+             "pretrain_iters": "--pretrain-iters", "seed": "--seed"}
+
+
+def _repeat_params(args, lam, dims, lam_flag) -> list[HyperParams]:
+    """The validated HyperParams of every repeat; repeat i has seed --seed + i."""
     try:
-        return HyperParams(
-            lam=lam, dims=dims, max_iter=args.max_iter, tol=args.tol,
-            kmeans_restarts=args.restarts, pretrain_iters=args.pretrain_iters, seed=args.seed,
-        ).validate()
+        hp = HyperParams(lam=lam, dims=dims, **{f: getattr(args, f) for f in FIT_FLAGS}).validate()
     except ValueError as exc:  # validate() names the field first; name its flag instead
         field, rule = str(exc).split(" ", 1)
-        flags = {"lam": lam_flag, "max_iter": "--max-iter", "tol": "--tol",
-                 "kmeans_restarts": "--restarts", "pretrain_iters": "--pretrain-iters",
-                 "seed": "--seed"}
-        raise ValueError(f"{flags[field]} {rule}") from None
+        raise ValueError(f"{lam_flag if field == 'lam' else FIT_FLAGS[field]} {rule}") from None
+    return [replace(hp, seed=hp.seed + i) for i in range(args.repeats)]
 
 
 def _map(fn, items, threads):
@@ -164,19 +172,17 @@ def _summary(results):
 RESULT_COLUMNS = "repeat seed lambda dims norm iterations objective acc nmi pur".split()
 
 
-def _results_table(results, hp, norm, seed):
+def _results_table(results, repeats, norm):
     best, mean, std = _summary(results)
-    dims_text = ",".join(str(d) for d in hp.dims)
+    config = [_fmt(repeats[0].lam), ",".join(str(d) for d in repeats[0].dims), norm]
     rows = ["\t".join(RESULT_COLUMNS)]
 
     def row(tag, seed_text, iters, values):
-        rows.append("\t".join(
-            [tag, seed_text, _fmt(hp.lam), dims_text, norm, iters] + [_fmt(v) for v in values]
-        ))
+        rows.append("\t".join([tag, seed_text, *config, iters] + [_fmt(v) for v in values]))
 
     for i, res in enumerate(results):
-        row(str(i), str(seed + i), str(res.iterations_run), _values(res))
-    row("best", str(seed + best), str(results[best].iterations_run), _values(results[best]))
+        row(str(i), str(repeats[i].seed), str(res.iterations_run), _values(res))
+    row("best", str(repeats[best].seed), str(results[best].iterations_run), _values(results[best]))
     row("mean", "-", "-", mean)
     row("std", "-", "-", std)
     return "\n".join(rows) + "\n", best
@@ -185,12 +191,11 @@ def _results_table(results, hp, norm, seed):
 def cmd_run(args) -> int:
     dataset, norm = _load_data(args)
     dims = _parse_list(args.dims, "--dims")
-    hp = _hyper_params(args, args.lam, dims, "--lambda")
-    results = _map(lambda i: fit(dataset, replace(hp, seed=hp.seed + i)),
-                   range(args.repeats), args.threads)
+    repeats = _repeat_params(args, args.lam, dims, "--lambda")
+    results = _map(lambda hp: fit(dataset, hp), repeats, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table, best = _results_table(results, hp, norm, args.seed)
+    table, best = _results_table(results, repeats, norm)
     (out / "results.tsv").write_text(table)
     trace = "\n".join(_fmt(rec.objective) for rec in results[best].history) + "\n"
     (out / "objective_trace.txt").write_text(trace)
@@ -198,7 +203,7 @@ def cmd_run(args) -> int:
         write_matrix_binary(out / "embedding.mvm", results[best].h)
     best_res = results[best]
     print(f"dataset {dataset.name}: {dataset.num_views} views, n={dataset.n}, k={dataset.k}")
-    print(f"repeats={args.repeats} lambda={_fmt(hp.lam)} dims={','.join(map(str, dims))}")
+    print(f"repeats={args.repeats} lambda={_fmt(args.lam)} dims={','.join(map(str, dims))}")
     if best_res.scores is not None:
         print(
             f"best repeat {best}: acc={_fmt(best_res.scores['acc'])} "
@@ -218,42 +223,41 @@ GRID_COLUMNS = (
 
 def cmd_grid(args) -> int:
     dataset, norm = _load_data(args)
-    kinds = tuple(t for t in args.schemes.split(",") if t)
+    kinds = _parse_list(args.schemes, "--schemes", str)
     for kind in kinds:
-        if kind not in ("p2", "p3"):
-            raise ValueError(f"--schemes entries must be p2 or p3, got {kind!r}")
+        if kind not in SCHEME_KINDS:
+            raise ValueError(f"--schemes entries must be {' or '.join(SCHEME_KINDS)}, got {kind!r}")
     schemes = layer_schemes(
         dataset.k, kinds,
         p2_l1=_parse_list(args.p2_l1, "--p2-l1"),
         p3_l1=_parse_list(args.p3_l1, "--p3-l1"),
         p3_l2=_parse_list(args.p3_l2, "--p3-l2"),
     )
-    lambdas = _parse_list(args.lambdas, "--lambdas", float) if args.lambdas else lambda_grid()
+    lambdas = lambda_grid() if args.lambdas is None else _parse_list(args.lambdas, "--lambdas", float)
     # Options are checked for every cell before any fit; only a layer scheme
     # that does not fit the data fails inside its own cell. One row of cells
-    # per scheme, one cell per lambda.
-    cells = [[_hyper_params(args, lam, dims, "--lambdas") for lam in lambdas] for dims in schemes]
+    # per scheme, one cell per lambda, one HyperParams per repeat of a cell.
+    cells = [[_repeat_params(args, lam, dims, "--lambdas") for lam in lambdas] for dims in schemes]
 
     # One group per (layer scheme, repeat): pretraining never reads lambda,
     # so each group pretrains once and fine-tunes every lambda from that start.
     def run_group(group):
-        row, i = group
         fits = []
         with shared_pretraining():
-            for hp in row:
+            for hp in group:
                 try:
-                    fits.append(fit(dataset, replace(hp, seed=hp.seed + i)))
+                    fits.append(fit(dataset, hp))
                 except (ValueError, NumericalError) as exc:
                     fits.append(exc)
         return fits
 
-    groups = [(row, i) for row in cells for i in range(args.repeats)]
+    groups = [[cell[i] for cell in row] for row in cells for i in range(args.repeats)]
     group_fits = iter(_map(run_group, groups, args.threads))
     rows = ["\t".join(GRID_COLUMNS)]
     best_acc, best_line, failed = -1.0, None, 0
     for row in cells:
         per_repeat = [next(group_fits) for _ in range(args.repeats)]
-        for hp, results in zip(row, zip(*per_repeat)):
+        for (hp, *_), results in zip(row, zip(*per_repeat)):
             head = [str(len(rows) - 1), _fmt(hp.lam), ",".join(str(d) for d in hp.dims), norm,
                     str(args.repeats)]
             # a failed cell reports its lowest-seed failure
@@ -304,18 +308,15 @@ def _add_data_args(p):
     p.add_argument("--manifest", help="dataset manifest path")
     p.add_argument("--synthetic", help=SYNTHETIC_HELP)
     p.add_argument("--norm", choices=list(NORMALIZATION_SCHEMES), default=None,
-                   help="normalization override (default: manifest tag or l2-sample)")
+                   help=f"normalization override (default: manifest tag or {DEFAULT_NORMALIZATION})")
 
 
 def _add_fit_args(p):
     defaults = {f.name: f.default for f in fields(HyperParams)}
-    p.add_argument("--max-iter", type=int, default=defaults["max_iter"])
-    p.add_argument("--tol", type=float, default=defaults["tol"])
+    for name, flag in FIT_FLAGS.items():
+        p.add_argument(flag, dest=name, type=type(defaults[name]), default=defaults[name],
+                       help=f"HyperParams.{name} (default: %(default)s)")
     p.add_argument("--repeats", type=int, default=50)
-    p.add_argument("--seed", type=int, default=defaults["seed"])
-    p.add_argument("--restarts", type=int, default=defaults["kmeans_restarts"],
-                   help="k-means restarts")
-    p.add_argument("--pretrain-iters", type=int, default=defaults["pretrain_iters"])
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_args(p)
     p.add_argument("--lambdas", default=None,
                    help="comma-separated lambda values (default: 2^-12..2^5)")
-    p.add_argument("--schemes", default="p2,p3", help="subset of p2,p3")
+    p.add_argument("--schemes", default=",".join(SCHEME_KINDS), help="subset of %(default)s")
     p.add_argument("--p2-l1", default=",".join(map(str, P2_L1_MULTIPLIERS)),
                    help="first-layer multipliers for two-layer schemes")
     p.add_argument("--p3-l1", default=",".join(map(str, P3_L1_MULTIPLIERS)),
@@ -355,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk", allow_abbrev=False)
     p.add_argument("--synthetic", required=True, help=SYNTHETIC_HELP)
-    p.add_argument("--format", choices=["binary", "text"], default="binary")
-    p.add_argument("--norm", choices=list(NORMALIZATION_SCHEMES), default="l2-sample",
+    p.add_argument("--format", choices=list(MATRIX_FORMATS), default=DEFAULT_FORMAT)
+    p.add_argument("--norm", choices=list(NORMALIZATION_SCHEMES), default=DEFAULT_NORMALIZATION,
                    help="normalization tag recorded in the manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)

@@ -30,7 +30,9 @@ from mvfuse.linalg import as_matrix
 
 MAGIC = b"MVMATRIX"
 
-NORMALIZATION_SCHEMES = ("l2-sample", "minmax-feature")
+# The scheme a manifest without a normalization tag, synth and --synthetic data get.
+DEFAULT_NORMALIZATION = "l2-sample"
+NORMALIZATION_SCHEMES = (DEFAULT_NORMALIZATION, "minmax-feature")
 
 
 @dataclass
@@ -85,7 +87,7 @@ class Manifest:
     sample_count: int
     views: list = field(default_factory=list)  # {"path": str, "dim": int} per view
     truth: str | None = None
-    normalization: str = "l2-sample"
+    normalization: str = DEFAULT_NORMALIZATION
 
     @classmethod
     def load(cls, path) -> "Manifest":
@@ -110,7 +112,7 @@ class Manifest:
             sample_count=int(raw["sample_count"]),
             views=views,
             truth=raw.get("truth"),
-            normalization=raw.get("normalization", "l2-sample"),
+            normalization=raw.get("normalization", DEFAULT_NORMALIZATION),
         )
         if m.normalization not in NORMALIZATION_SCHEMES:
             raise ValueError(
@@ -139,12 +141,9 @@ def write_matrix_binary(path, a) -> None:
     Path(path).write_bytes(header + np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def write_matrix(path, a) -> None:
-    """Write text for a ".txt" suffix, the binary blob otherwise."""
-    if str(path).endswith(".txt"):
-        write_matrix_text(path, a)
-    else:
-        write_matrix_binary(path, a)
+# Matrix format -> (file suffix, writer), for save_dataset and synth --format.
+MATRIX_FORMATS = {"binary": (".mvm", write_matrix_binary), "text": (".txt", write_matrix_text)}
+DEFAULT_FORMAT = "binary"
 
 
 def read_matrix(path) -> np.ndarray:
@@ -201,7 +200,7 @@ def read_labels(path) -> np.ndarray:
         raise ValueError(f"{path}: labels must be integers") from exc
 
 
-def normalize(x, scheme: str = "l2-sample") -> np.ndarray:
+def normalize(x, scheme: str = DEFAULT_NORMALIZATION) -> np.ndarray:
     """Per-view normalization.
 
     "l2-sample" scales every column (sample) to unit l2 norm, leaving
@@ -221,7 +220,7 @@ def normalize(x, scheme: str = "l2-sample") -> np.ndarray:
     raise ValueError(f"unknown normalization scheme {scheme!r}, expected one of {NORMALIZATION_SCHEMES}")
 
 
-def normalize_dataset(ds: MultiViewDataset, scheme: str = "l2-sample") -> MultiViewDataset:
+def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION) -> MultiViewDataset:
     return MultiViewDataset(
         views=[normalize(x, scheme) for x in ds.views],
         truth=ds.truth,
@@ -263,26 +262,26 @@ def load_dataset(manifest_path, normalization: str | None = None) -> MultiViewDa
 def save_dataset(
     ds: MultiViewDataset,
     out_dir,
-    fmt: str = "binary",
-    normalization: str = "l2-sample",
+    fmt: str = DEFAULT_FORMAT,
+    normalization: str = DEFAULT_NORMALIZATION,
 ) -> Path:
     """Write views, truth, and manifest under out_dir; returns the manifest path.
 
     Matrices are stored raw; the manifest's normalization tag tells loaders
     what to apply.
     """
-    if fmt not in ("binary", "text"):
-        raise ValueError(f"fmt must be 'binary' or 'text', got {fmt!r}")
+    if fmt not in MATRIX_FORMATS:
+        raise ValueError(f"fmt must be one of {tuple(MATRIX_FORMATS)}, got {fmt!r}")
     if normalization not in NORMALIZATION_SCHEMES:
         raise ValueError(f"unknown normalization scheme {normalization!r}")
     ds.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = ".mvm" if fmt == "binary" else ".txt"
+    suffix, write = MATRIX_FORMATS[fmt]
     entries = []
     for i, x in enumerate(ds.views):
         fname = f"view{i}{suffix}"
-        write_matrix(out_dir / fname, x)
+        write(out_dir / fname, x)
         entries.append({"path": fname, "dim": int(x.shape[0])})
     truth_name = None
     if ds.truth is not None:

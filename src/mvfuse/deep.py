@@ -48,7 +48,7 @@ def validate_layer_dims(dims, k: int, feature_dims, n: int) -> list[int]:
     return dims
 
 
-def pretrain_view(x, dims, seed: int = 0, iters: int = 50) -> ViewFactorization:
+def pretrain_view(x, dims, iters: int, seed: int = 0) -> ViewFactorization:
     """Greedy layer-wise pretraining: factorize x, then each representation in turn."""
     x = as_matrix(x, "x")
     vf = ViewFactorization(x=x)

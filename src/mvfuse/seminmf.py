@@ -74,7 +74,7 @@ def init_layer(x, width: int, seed: int = 0) -> LayerFactors:
     return LayerFactors(z=refit_basis(x, h), h=h)
 
 
-def fit_layer(x, width: int, iters: int = 50, seed: int = 0) -> LayerFactors:
+def fit_layer(x, width: int, iters: int, seed: int = 0) -> LayerFactors:
     """Alternate h steps and exact z refits; init_layer's z is already fit to the seeded h."""
     if iters < 0:
         raise ValueError("iters must be >= 0")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import mvfuse.deep as deep_module
@@ -18,6 +19,12 @@ def benchmark_hp(seed: int = 0, **overrides) -> HyperParams:
     )
     base.update(overrides)
     return HyperParams(**base)
+
+
+def _row_orthonormal(rng, k, n):
+    """A random k x n matrix with orthonormal rows."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return q.T
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import benchmark_hp
+from conftest import _row_orthonormal, benchmark_hp
 from mvfuse.cli import main
 from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.deep import ViewFactorization, update_partition
@@ -30,11 +30,6 @@ def _report(number, ok: bool, detail: str = "") -> None:
     suffix = f"  ({detail})" if detail else ""
     print(f"\n[criterion {number}] {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def _row_orthonormal(rng, k, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return q.T
 
 
 # ---------------------------------------------------------------------------

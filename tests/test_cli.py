@@ -16,6 +16,7 @@ from mvfuse.cli import (
     main,
 )
 from mvfuse.data import (
+    DEFAULT_NORMALIZATION,
     Manifest,
     MultiViewDataset,
     generate_synthetic,
@@ -23,7 +24,7 @@ from mvfuse.data import (
     read_matrix,
     save_dataset,
     write_labels,
-    write_matrix,
+    write_matrix_binary,
 )
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import HyperParams, fit
@@ -154,7 +155,7 @@ def test_fit_flag_defaults_are_the_hyperparams_defaults(command):
         argv += ["--lambda", "1", "--dims", "6,3"]
     args = build_parser().parse_args(argv)
     hp = HyperParams(lam=1.0, dims=[6, 3])
-    assert (args.max_iter, args.tol, args.restarts, args.pretrain_iters, args.seed) == (
+    assert (args.max_iter, args.tol, args.kmeans_restarts, args.pretrain_iters, args.seed) == (
         hp.max_iter, hp.tol, hp.kmeans_restarts, hp.pretrain_iters, hp.seed
     )
 
@@ -265,6 +266,35 @@ def test_norm_column_names_the_scheme_the_manifest_applied(tmp_path):
     assert cells[0]["norm"] == "minmax-feature"
 
 
+def test_every_unstated_normalization_is_the_one_default(tmp_path):
+    # synth without --norm or --format writes what save_dataset's defaults write
+    assert main(["synth", "--synthetic", SMALL_SPEC, "--out", str(tmp_path / "ds")]) == 0
+    save_dataset(generate_synthetic(**_parse_synthetic_spec(SMALL_SPEC)), tmp_path / "lib")
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    manifest = tmp_path / "ds" / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    assert raw.pop("normalization") == DEFAULT_NORMALIZATION
+    manifest.write_text(json.dumps(raw))
+    assert Manifest.load(manifest).normalization == DEFAULT_NORMALIZATION
+
+    fit_args = ["--lambda", "1", "--dims", "6,3", "--repeats", "1", "--max-iter", "5",
+                "--restarts", "2"]
+    runs = {
+        "untagged-manifest": ["--manifest", str(manifest)],
+        "synthetic": ["--synthetic", SMALL_SPEC],
+        "stated": ["--synthetic", SMALL_SPEC, "--norm", DEFAULT_NORMALIZATION],
+    }
+    for name, data in runs.items():
+        assert main(["run", *data, *fit_args, "--out", str(tmp_path / name)]) == 0
+    tables = {(tmp_path / name / "results.tsv").read_text() for name in runs}
+    assert len(tables) == 1
+    _, rows = _read_rows(tmp_path / "stated" / "results.tsv")
+    assert {r["norm"] for r in rows} == {DEFAULT_NORMALIZATION}
+
+
 def test_run_rejects_ambiguous_data_source(tmp_path, capsys):
     code = main([
         "run", "--synthetic", SMALL_SPEC, "--manifest", "x.json",
@@ -297,7 +327,7 @@ def test_run_rejects_malformed_manifest_views(tmp_path, capsys, views, named):
 def _small_manifest(tmp_path, view0):
     ds = generate_synthetic(n=40, k=3, view_dims=[10, 14], noise_sigma=0.05, seed=7)
     manifest = save_dataset(ds, tmp_path / "data")
-    write_matrix(tmp_path / "data" / "view0.mvm", view0)
+    write_matrix_binary(tmp_path / "data" / "view0.mvm", view0)
     return manifest
 
 
@@ -564,6 +594,23 @@ def test_synth_names_a_negative_spec_seed(tmp_path, capsys):
     (["grid", "--synthetic", "n=40,k=3,dims=10/14,sigma=wide"], "synthetic spec key 'sigma'"),
 ])
 def test_fit_commands_name_the_flag_of_an_unparsable_value(tmp_path, capsys, argv, flag):
+    _assert_names_flag(tmp_path, capsys, argv, flag)
+
+
+GRID = ["grid", "--synthetic", SMALL_SPEC, "--repeats", "1", "--max-iter", "5", "--restarts", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (GRID + ["--lambdas", ","], "--lambdas"),
+    (GRID + ["--lambdas", ""], "--lambdas"),
+    (GRID + ["--schemes", ","], "--schemes"),
+    (GRID + ["--schemes", "p2", "--p2-l1", ","], "--p2-l1"),
+    (GRID + ["--p3-l2", ""], "--p3-l2"),
+    (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", ","], "--dims"),
+], ids=["lambdas-comma", "lambdas-blank", "schemes-comma", "p2-l1-comma", "p3-l2-blank",
+        "dims-comma"])
+def test_fit_commands_name_the_flag_of_an_empty_list(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(cli_module, "fit", lambda *a: pytest.fail("a fit ran"))
     _assert_names_flag(tmp_path, capsys, argv, flag)
 
 

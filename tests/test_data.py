@@ -16,7 +16,6 @@ from mvfuse.data import (
     read_matrix,
     save_dataset,
     write_labels,
-    write_matrix,
     write_matrix_binary,
     write_matrix_text,
 )
@@ -85,7 +84,7 @@ def test_text_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     a = rng.standard_normal((9, 5)) * np.logspace(-8, 8, 5)
     path = tmp_path / "a.txt"
-    write_matrix(path, a)
+    write_matrix_text(path, a)
     back = read_matrix(path)
     assert back.tobytes() == a.tobytes()
     assert path.read_text().splitlines()[0] == "9 5"
@@ -101,7 +100,7 @@ def test_binary_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(17)
     a = rng.standard_normal((11, 7))
     path = tmp_path / "a.mvm"
-    write_matrix(path, a)
+    write_matrix_binary(path, a)
     blob = path.read_bytes()
     assert blob[:8] == MAGIC
     assert len(blob) == 16 + 8 * 11 * 7
@@ -281,7 +280,7 @@ def test_load_names_view_with_missing_file(tmp_path):
 def test_load_names_view_with_wrong_shape(tmp_path):
     ds = generate_synthetic(n=30, k=2, view_dims=[4, 5], seed=37)
     manifest_path = save_dataset(ds, tmp_path / "out")
-    write_matrix(tmp_path / "out" / "view0.mvm", np.ones((4, 29)))
+    write_matrix_binary(tmp_path / "out" / "view0.mvm", np.ones((4, 29)))
     with pytest.raises(ValueError, match=r"view 0 \(view0\.mvm\): expected 4x30, got 4x29"):
         load_dataset(manifest_path)
 

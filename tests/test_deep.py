@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import _row_orthonormal
 from mvfuse.data import generate_synthetic, normalize
 from mvfuse.deep import (
     ViewFactorization,
@@ -27,11 +28,6 @@ def _random_vf(rng, d=16, dims=(8, 3), n=40):
     h = [rng.uniform(0.05, 1.0, size=(w, n)) for w in dims]
     x = rng.standard_normal((d, n))
     return ViewFactorization(x=x, z=z, h=h)
-
-
-def _row_orthonormal(rng, k, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return q.T
 
 
 def _subproblem_value(vf, consensus, rotation, alpha_v, beta_v, lam):

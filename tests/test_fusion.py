@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import _row_orthonormal
 from mvfuse.deep import ViewFactorization, reconstruction_loss
 from mvfuse.fusion import (
     FusionState,
@@ -10,11 +11,6 @@ from mvfuse.fusion import (
     update_consensus,
     update_rotation,
 )
-
-
-def _row_orthonormal(rng, k, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return q.T
 
 
 def _random_views(rng, k=3, n=20, v=2):
