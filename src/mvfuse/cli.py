@@ -15,7 +15,6 @@ from mvfuse.data import (
     DEFAULT_NORMALIZATION,
     MATRIX_FORMATS,
     NORMALIZATION_SCHEMES,
-    Manifest,
     generate_synthetic,
     load_dataset,
     normalize_dataset,
@@ -103,8 +102,8 @@ def _parse_synthetic_spec(spec: str) -> dict:
 
 
 def _load_data(args):
-    """Check the options run and grid share; return the dataset and the
-    normalization scheme applied to it."""
+    """Check the options run and grid share; return the normalized dataset,
+    which records the scheme applied to it."""
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     if args.threads < 1:
@@ -112,11 +111,9 @@ def _load_data(args):
     if bool(args.manifest) == bool(args.synthetic):
         raise ValueError("provide exactly one of --manifest or --synthetic")
     if args.manifest:
-        scheme = args.norm or Manifest.load(args.manifest).normalization
-        return load_dataset(args.manifest, normalization=scheme), scheme
-    scheme = args.norm or DEFAULT_NORMALIZATION
+        return load_dataset(args.manifest, normalization=args.norm)
     dataset = generate_synthetic(**_parse_synthetic_spec(args.synthetic))
-    return normalize_dataset(dataset, scheme), scheme
+    return normalize_dataset(dataset, args.norm or DEFAULT_NORMALIZATION)
 
 
 # HyperParams field -> the run/grid flag that sets it; lam's flag is per command.
@@ -189,13 +186,13 @@ def _results_table(results, repeats, norm):
 
 
 def cmd_run(args) -> int:
-    dataset, norm = _load_data(args)
+    dataset = _load_data(args)
     dims = _parse_list(args.dims, "--dims")
     repeats = _repeat_params(args, args.lam, dims, "--lambda")
     results = _map(lambda hp: fit(dataset, hp), repeats, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table, best = _results_table(results, repeats, norm)
+    table, best = _results_table(results, repeats, dataset.normalization)
     (out / "results.tsv").write_text(table)
     trace = "\n".join(_fmt(rec.objective) for rec in results[best].history) + "\n"
     (out / "objective_trace.txt").write_text(trace)
@@ -222,7 +219,7 @@ GRID_COLUMNS = (
 
 
 def cmd_grid(args) -> int:
-    dataset, norm = _load_data(args)
+    dataset = _load_data(args)
     kinds = _parse_list(args.schemes, "--schemes", str)
     for kind in kinds:
         if kind not in SCHEME_KINDS:
@@ -258,8 +255,8 @@ def cmd_grid(args) -> int:
     for row in cells:
         per_repeat = [next(group_fits) for _ in range(args.repeats)]
         for (hp, *_), results in zip(row, zip(*per_repeat)):
-            head = [str(len(rows) - 1), _fmt(hp.lam), ",".join(str(d) for d in hp.dims), norm,
-                    str(args.repeats)]
+            head = [str(len(rows) - 1), _fmt(hp.lam), ",".join(str(d) for d in hp.dims),
+                    dataset.normalization, str(args.repeats)]
             # a failed cell reports its lowest-seed failure
             failure = next((r for r in results if isinstance(r, Exception)), None)
             if failure is not None:

@@ -41,6 +41,7 @@ class MultiViewDataset:
     truth: np.ndarray | None  # n ground-truth labels in [0, k), or None
     k: int
     name: str = "dataset"
+    normalization: str | None = None  # the scheme applied to the views; None if raw
 
     @property
     def n(self) -> int:
@@ -226,6 +227,7 @@ def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION)
         truth=ds.truth,
         k=ds.k,
         name=ds.name,
+        normalization=scheme,
     ).validate()
 
 
@@ -255,7 +257,7 @@ def load_dataset(manifest_path, normalization: str | None = None) -> MultiViewDa
     if manifest.truth is not None:
         truth = read_labels(base / manifest.truth)
     return MultiViewDataset(
-        views=views, truth=truth, k=manifest.k, name=manifest.name
+        views=views, truth=truth, k=manifest.k, name=manifest.name, normalization=scheme
     ).validate()
 
 

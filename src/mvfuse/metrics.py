@@ -14,46 +14,74 @@ LLOYD_STACK_FLOATS = 1 << 20
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
-def _sqdist_to_point(points, sq_points, twice, i):
-    """Squared distances from every point to points[i] by the norm expansion.
+def _sqdist_to_points(points, sq_points, twice, idx):
+    """Squared distances from every point to each points[idx[r]], one row per r.
 
-    ||p||^2 + ||c||^2 - 2 p.c costs one matrix-vector product. An entry not
-    above that form's rounding bound, or not finite, is recomputed directly as
-    sum((p - c)**2), so a zero stays exactly zero and only non-zero distances
-    can differ from the direct form, in their last bits.
+    ||p||^2 + ||c||^2 - 2 p.c costs one matrix-vector product per row:
+    np.matmul over the (R, d, 1) stack of centers makes one gemv per row, as
+    `twice @ points[i]` does alone. OpenBLAS's gemv adds in another order for
+    a strided vector than for a unit-stride one, so each center column is
+    strided exactly when points[i] is, and each row is bit for bit what it
+    would be alone. An entry not above the expansion's rounding bound, or not
+    finite, is recomputed directly as sum((p - c)**2), at most n entries at a
+    time so the transient stays n x d; a zero stays exactly zero and only
+    non-zero distances can differ from the direct form, in their last bits.
     """
+    n, d = points.shape
+    stack = np.empty((len(idx), d, 1 if points.strides[1] == points.itemsize else 2))
+    stack[:, :, 0] = points[idx]
     with np.errstate(over="ignore", invalid="ignore"):  # such entries are redone
-        norms = sq_points + sq_points[i]
-        d2 = norms - twice @ points[i]
-        tol = 4.0 * points.shape[1] * (_EPS * norms + _TINY)
-    redo = ~((d2 > tol) & (d2 < np.inf))  # NaN fails both comparisons
-    if redo.any():
-        d2[redo] = np.sum((points[redo] - points[i]) ** 2, axis=1)
+        norms = sq_points + sq_points[idx][:, None]
+        d2 = norms - np.matmul(twice, stack[:, :, :1])[:, :, 0]
+        tol = 4.0 * d * (_EPS * norms + _TINY)
+    rows, cols = np.nonzero(~((d2 > tol) & (d2 < np.inf)))  # NaN fails both comparisons
+    for s in range(0, rows.size, n):  # usually one pass: each center's own zero, few more
+        r, c = rows[s:s + n], cols[s:s + n]
+        d2[r, c] = np.sum((points[c] - points[idx[r]]) ** 2, axis=1)
     return d2
 
 
-def _plusplus_centers(points, k, rng, sq_points, twice):
-    """k-means++ seeding: first center uniform, the rest D^2-weighted.
+def _draw(d2, rngs):
+    """One D^2-weighted index per row of d2, each from that row's generator.
 
-    `sq_points` and `twice` are kmeans's shared point terms; each new center
-    costs one _sqdist_to_point. Exact zeros keep points that coincide with a
-    center at weight zero.
+    A row with a positive total draws searchsorted(cdf, g.random(), "right")
+    on the cumulated row / total, scaled so that it ends at exactly 1: the
+    draw of g.choice(n, p=row / total), but with the cumulation and scaling
+    done for all rows at once. A row of zero total, whose points all coincide
+    with a center, draws a uniform index.
     """
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    idx = rng.integers(n)
-    centers[0] = points[idx]
-    d2 = np.inf
+    total = d2.sum(axis=1)
+    if not np.isfinite(total).all():
+        raise ValueError("squared distances between points overflow float64")
+    with np.errstate(invalid="ignore"):  # 0/0 in rows of zero total, never read
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+    n = d2.shape[1]
+    return np.array([
+        np.searchsorted(cdf[r], g.random(), side="right") if positive else g.integers(n)
+        for r, (g, positive) in enumerate(zip(rngs, (total > 0).tolist()))
+    ])
+
+
+def _plusplus_centers(points, k, rngs, sq_points, twice):
+    """k-means++ seeding of a group of restarts in lock-step; returns (R, k, d).
+
+    Restart r draws from its own generator rngs[r]: the first center uniform,
+    the rest D^2-weighted. `sq_points` and `twice` are kmeans's shared point
+    terms; each center step costs one stacked _sqdist_to_points, one minimum
+    and one _draw for all R restarts, and every restart draws the centers it
+    would draw alone. Exact zeros keep points that coincide with a center at
+    weight zero.
+    """
+    n, d = points.shape
+    idx = np.array([g.integers(n) for g in rngs])
+    centers = np.empty((len(rngs), k, d))
+    centers[:, 0] = points[idx]
+    d2 = np.full((len(rngs), n), np.inf)
     for c in range(1, k):
-        d2 = np.minimum(d2, _sqdist_to_point(points, sq_points, twice, idx))
-        total = d2.sum()
-        if not np.isfinite(total):
-            raise ValueError("squared distances between points overflow float64")
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)  # all remaining points coincide with a center
-        centers[c] = points[idx]
+        np.minimum(d2, _sqdist_to_points(points, sq_points, twice, idx), out=d2)
+        idx = _draw(d2, rngs)
+        centers[:, c] = points[idx]
     return centers
 
 
@@ -155,12 +183,15 @@ def _lloyd(points, sq_points, twice, centers):
 def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     """Lloyd's algorithm with k-means++ seeding.
 
-    Runs `restarts` independent seedings (restart r uses seed + r) and returns
-    the labels of the restart with the smallest within-cluster sum of squares;
-    ties keep the earliest restart. The restarts run in lock-step, in groups
-    of at most LLOYD_STACK_FLOATS // (n * k): each iteration advances every
-    restart of the group still moving with one stacked distance product and
-    one argmin, and each restart's labels equal what it reaches alone.
+    Runs `restarts` independent seedings (restart r draws from
+    default_rng(seed + r)) and returns the labels of the restart with the
+    smallest within-cluster sum of squares; ties keep the earliest restart.
+    The restarts run in lock-step, in groups of at most
+    LLOYD_STACK_FLOATS // (n * k): one k-means++ loop seeds the whole group,
+    one center step for all of its restarts at a time, and each Lloyd
+    iteration then advances every restart of the group still moving with one
+    stacked distance product and one argmin. Each restart's centers and
+    labels equal what it draws and reaches alone.
     Seeding and Lloyd both use the expansion
     ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c, so ||p||^2 and 2p are computed
     once per call. The seeding recomputes directly every entry within the
@@ -184,10 +215,8 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     group = max(1, LLOYD_STACK_FLOATS // (n * k))
     best, best_inertia = None, np.inf
     for first in range(0, restarts, group):
-        starts = np.stack([
-            _plusplus_centers(points, k, np.random.default_rng(seed + r), sq_points, twice)
-            for r in range(first, min(first + group, restarts))
-        ])
+        rngs = [np.random.default_rng(seed + r) for r in range(first, min(first + group, restarts))]
+        starts = _plusplus_centers(points, k, rngs, sq_points, twice)
         labels, inertia = _lloyd(points, sq_points, twice, starts)
         inertia[~(inertia < np.inf)] = np.inf  # NaN is never the best
         r = int(np.argmin(inertia))  # the first of equal minima

@@ -244,20 +244,31 @@ def test_fit_commands_reject_nonpositive_threads(tmp_path, capsys, command, thre
     assert not any(tmp_path.iterdir())
 
 
-def test_norm_column_names_the_scheme_the_manifest_applied(tmp_path):
+def test_norm_column_names_the_scheme_the_manifest_applied(tmp_path, monkeypatch):
     assert main([
         "synth", "--synthetic", "n=40,k=3,dims=10/14,seed=7",
         "--norm", "minmax-feature", "--out", str(tmp_path / "ds"),
     ]) == 0
+    # each command parses the manifest once, with or without --norm
+    parsed, load = [], Manifest.load
+
+    def counting_load(path):
+        parsed.append(path)
+        return load(path)
+
+    monkeypatch.setattr(Manifest, "load", counting_load)
     data = ["--manifest", str(tmp_path / "ds" / "manifest.json")]
     fit_args = ["--repeats", "1", "--max-iter", "5", "--restarts", "2"]
     run = ["run", *data, "--lambda", "1", "--dims", "6,3", *fit_args]
     assert main(run + ["--out", str(tmp_path / "implicit")]) == 0
+    assert len(parsed) == 1
     assert main(run + ["--norm", "minmax-feature", "--out", str(tmp_path / "explicit")]) == 0
+    assert len(parsed) == 2
     assert main([
         "grid", *data, "--lambdas", "1", "--schemes", "p2", "--p2-l1", "2", *fit_args,
         "--out", str(tmp_path / "grid"),
     ]) == 0
+    assert len(parsed) == 3
     _, implicit = _read_rows(tmp_path / "implicit" / "results.tsv")
     _, explicit = _read_rows(tmp_path / "explicit" / "results.tsv")
     _, cells = _read_rows(tmp_path / "grid" / "grid.tsv")

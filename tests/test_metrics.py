@@ -4,15 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvfuse import metrics
 from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.metrics import (
+    _EPS,
+    _TINY,
+    _draw,
     _lloyd,
     _plusplus_centers,
-    _sqdist_to_point,
+    _sqdist_to_points,
     accuracy,
     contingency,
     hungarian,
@@ -328,8 +331,8 @@ def test_kmeans_returns_the_best_of_its_single_restarts(n, d, k_share, restarts,
     singles, inertias = [], []
     for r in range(restarts):
         single = kmeans(points, k, restarts=1, seed=seed + r)
-        start = _plusplus_centers(points, k, np.random.default_rng(seed + r), sq_points, twice)
-        labels, inertia = _lloyd(points, sq_points, twice, start[None])
+        start = _plusplus_centers(points, k, [np.random.default_rng(seed + r)], sq_points, twice)
+        labels, inertia = _lloyd(points, sq_points, twice, start)
         assert np.array_equal(single, labels[0])
         singles.append(single)
         inertias.append(inertia[0])
@@ -339,8 +342,9 @@ def test_kmeans_returns_the_best_of_its_single_restarts(n, d, k_share, restarts,
 
 
 def test_kmeans_restart_groups_keep_the_best_restart(monkeypatch):
-    # a small buffer budget splits a call's restarts into groups; the split must
-    # not change which restart wins, the earliest of equal minima included
+    # a small buffer budget splits a call's restarts into groups, for the seeding
+    # as for Lloyd; the split must not change which restart wins, the earliest of
+    # equal minima included
     rng = np.random.default_rng(53)
     tied = 0
     for _ in range(20):
@@ -349,8 +353,16 @@ def test_kmeans_restart_groups_keep_the_best_restart(monkeypatch):
         seed, restarts = int(rng.integers(1000)), 7
         whole = kmeans(points, k, restarts=restarts, seed=seed)
         for group in (1, 2, 3):
+            seeded = []
+
+            def spy(points, k, rngs, *terms):
+                seeded.append(len(rngs))
+                return _plusplus_centers(points, k, rngs, *terms)
+
             monkeypatch.setattr(metrics, "LLOYD_STACK_FLOATS", group * n * k)
+            monkeypatch.setattr(metrics, "_plusplus_centers", spy)
             assert np.array_equal(kmeans(points, k, restarts=restarts, seed=seed), whole)
+            assert max(seeded) == group and sum(seeded) == restarts
         monkeypatch.undo()
         singles = [kmeans(points, k, seed=seed + r) for r in range(restarts)]
         ss = [within_cluster_ss(points, labels) for labels in singles]
@@ -363,9 +375,12 @@ def _seed_both(points, k, seed):
     """Centers of the norm-expansion seeding and of the reference; None where it raised."""
     seeded = []
     for seeding in (_plusplus_centers, _reference_plusplus_centers):
-        args = (np.sum(points**2, axis=1), 2.0 * points) if seeding is _plusplus_centers else ()
         try:
-            seeded.append(seeding(points, k, np.random.default_rng(seed), *args))
+            if seeding is _plusplus_centers:
+                terms = np.sum(points**2, axis=1), 2.0 * points
+                seeded.append(seeding(points, k, [np.random.default_rng(seed)], *terms)[0])
+            else:
+                seeded.append(seeding(points, k, np.random.default_rng(seed)))
         except ValueError:  # a non-finite D^2 total; the reference fails in Generator.choice
             seeded.append(None)
     return seeded
@@ -378,7 +393,7 @@ def _assert_seeding_matches_the_reference(points, k, seed):
     else:
         assert np.array_equal(got, expected)
         i = int(np.random.default_rng(seed).integers(points.shape[0]))
-        d2 = _sqdist_to_point(points, np.sum(points**2, axis=1), 2.0 * points, i)
+        d2 = _sqdist_to_points(points, np.sum(points**2, axis=1), 2.0 * points, np.array([i]))[0]
         assert np.array_equal(d2 == 0, np.sum((points - points[i]) ** 2, axis=1) == 0)
 
 
@@ -425,6 +440,129 @@ def test_seeding_routes_overflowed_and_underflowed_norms_to_the_direct_form():
     for seed in range(4):
         assert _seed_both(edge, 2, seed)[1] is not None
         _assert_seeding_matches_the_reference(edge, 2, seed)
+
+
+# The scales of test_seeding_routes_overflowed_and_underflowed_norms_to_the_direct_form:
+# distances that overflow float64, and squared norms or distances that underflow,
+# so that distinct points can lie at D^2 zero.
+SEEDING_SCALES = {"unit": (1.0, 0.0), "overflow": (1e154, 0.0),
+                  "offset-overflow": (1e150, 1e154), "underflow": (1e-162, 0.0)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 30),
+    d=st.integers(1, 4),
+    distinct=st.integers(1, 6),
+    grid=st.booleans(),
+    k_share=st.floats(0.0, 1.0),
+    scale=st.sampled_from(sorted(SEEDING_SCALES)),
+    restarts=st.integers(1, 8),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the stack of test_the_example_stack_mixes_zero_and_positive_totals
+@example(n=3, d=1, distinct=3, grid=True, k_share=1.0, scale="underflow", restarts=8,
+         fortran=False, seed=0)
+def test_stacked_seeding_rows_match_the_reference_per_generator(n, d, distinct, grid, k_share,
+                                                                scale, restarts, fortran, seed):
+    # at most `distinct` distinct points, so k can exceed their count
+    rng = np.random.default_rng(seed)
+    spread, offset = SEEDING_SCALES[scale]
+    if grid:
+        base = (np.arange(n * d) % distinct).reshape(n, d).astype(np.float64)
+    else:
+        m = min(distinct, n)
+        base = rng.standard_normal((m, d))[rng.integers(m, size=n)]
+    points = spread * base + offset
+    points = np.asfortranarray(points) if fortran else np.ascontiguousarray(points)
+    k = 1 + round(k_share * (n - 1))
+    terms = np.sum(points**2, axis=1), 2.0 * points
+    rngs = [np.random.default_rng(seed + r) for r in range(restarts)]
+    try:
+        expected = [_reference_plusplus_centers(points, k, np.random.default_rng(seed + r))
+                    for r in range(restarts)]
+    except ValueError:  # a non-finite D^2 total in one restart raises for the stack
+        with pytest.raises(ValueError, match="squared distances between points overflow"):
+            _plusplus_centers(points, k, rngs, *terms)
+        return
+    got = _plusplus_centers(points, k, rngs, *terms)
+    assert got.shape == (restarts, k, d)
+    for row, want in zip(got, expected):
+        assert np.array_equal(row, want)
+
+
+def test_the_example_stack_mixes_zero_and_positive_totals(monkeypatch):
+    # 0 and 2e-162 lie at D^2 5e-324, and both at D^2 zero from 1e-162, so in one
+    # centre step the restarts that began at 1e-162 reach a zero total and the
+    # others do not
+    positive = []
+
+    def spy(d2, rngs):
+        positive.append(set((d2.sum(axis=1) > 0).tolist()))
+        return _draw(d2, rngs)
+
+    monkeypatch.setattr(metrics, "_draw", spy)
+    points = np.array([[0.0], [1e-162], [2e-162]])
+    _plusplus_centers(points, 3, [np.random.default_rng(s) for s in range(8)],
+                      np.sum(points**2, axis=1), 2.0 * points)
+    assert {True, False} in positive
+
+
+def test_draw_is_the_draw_of_generator_choice():
+    # _draw replicates Generator.choice(n, p=p) so that it can cumulate a stack of
+    # rows at once; a numpy release that draws choice another way fails here first
+    rng = np.random.default_rng(61)
+    rows = []
+    for _ in range(400):
+        n = int(rng.integers(1, 50))
+        w = rng.random(n) ** rng.choice([1, 4, 40]) * 10.0 ** rng.integers(-300, 300)
+        w[rng.random(n) < rng.random()] = 0.0  # zero weights, sometimes all of them
+        rows.append(w)
+        seed = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw(w[None], [ours])[0]
+        if w.sum() > 0:
+            assert got == theirs.choice(n, p=w / w.sum())
+        else:
+            assert got == theirs.integers(n)
+        assert ours.random() == theirs.random()  # each drew as much from its stream
+    # a stack of rows of one length draws each row from its own generator
+    stack = np.array([np.resize(w, 7) for w in rows[:30]])
+    drawn = _draw(stack, [np.random.default_rng(r) for r in range(30)])
+    for r, w in enumerate(stack):
+        single = _draw(w[None], [np.random.default_rng(r)])[0]
+        assert drawn[r] == single
+
+
+def _one_center_sqdist(points, sq_points, twice, i):
+    # the seeding's distances before it was stacked, kept verbatim
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = sq_points + sq_points[i]
+        d2 = norms - twice @ points[i]
+        tol = 4.0 * points.shape[1] * (_EPS * norms + _TINY)
+    redo = ~((d2 > tol) & (d2 < np.inf))
+    if redo.any():
+        d2[redo] = np.sum((points[redo] - points[i]) ** 2, axis=1)
+    return d2
+
+
+def test_stacked_distances_equal_the_one_center_form_bit_for_bit():
+    # the gemv sums a strided center (a row of Fortran-ordered points) in another
+    # order than a unit-stride one; widths 14, 15, 18, ... showed it on OpenBLAS
+    rng = np.random.default_rng(67)
+    for d in range(1, 33):
+        n = int(rng.integers(1, 120))
+        m = max(1, n // 2)
+        base = rng.standard_normal((m, d))[rng.integers(m, size=n)]  # duplicates: direct redos
+        for points in (np.asfortranarray(base), np.ascontiguousarray(base)):
+            sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
+            idx = rng.integers(n, size=int(rng.integers(1, 9)))
+            got = _sqdist_to_points(points, sq_points, twice, idx)
+            for row, i in zip(got, idx):
+                assert row.tobytes() == _one_center_sqdist(points, sq_points, twice, i).tobytes()
 
 
 def test_seeding_matches_the_reference_on_the_fit_large_views():
