@@ -81,6 +81,13 @@ class MultiViewDataset:
         return self
 
 
+def _json_int(value) -> int | None:
+    """A JSON integer (3, or 3.0) as an int; None for anything else, bools included."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value if type(value) is int else None
+
+
 @dataclass
 class Manifest:
     name: str
@@ -95,24 +102,35 @@ class Manifest:
         path = Path(path)
         if not path.is_file():
             raise ValueError(f"manifest not found: {path}")
-        raw = json.loads(path.read_text())
+        try:
+            raw = json.loads(path.read_text())
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"manifest {path}: not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"manifest {path}: expected a JSON object, got {raw!r}")
         for key in ("name", "k", "sample_count", "views"):
             if key not in raw:
                 raise ValueError(f"manifest {path}: missing field {key!r}")
+        for key in ("k", "sample_count"):
+            if _json_int(raw[key]) is None:
+                raise ValueError(f"manifest {path}: {key} must be an integer, got {raw[key]!r}")
         if not isinstance(raw["views"], list):
             raise ValueError(f"manifest {path}: views must be a list, got {raw['views']!r}")
         views = []
         for i, v in enumerate(raw["views"]):
-            try:
-                views.append({"path": str(v["path"]), "dim": int(v["dim"])})
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"manifest {path}: view {i} needs path and integer dim: {v!r}") from exc
+            dim = _json_int(v.get("dim")) if isinstance(v, dict) else None
+            if dim is None or not isinstance(v.get("path"), str):
+                raise ValueError(f"manifest {path}: view {i} needs path and integer dim: {v!r}")
+            views.append({"path": v["path"], "dim": dim})
+        truth = raw.get("truth")
+        if truth is not None and not isinstance(truth, str):
+            raise ValueError(f"manifest {path}: truth must be a path string, got {truth!r}")
         m = cls(
             name=str(raw["name"]),
-            k=int(raw["k"]),
-            sample_count=int(raw["sample_count"]),
+            k=_json_int(raw["k"]),
+            sample_count=_json_int(raw["sample_count"]),
             views=views,
-            truth=raw.get("truth"),
+            truth=truth,
             normalization=raw.get("normalization", DEFAULT_NORMALIZATION),
         )
         if m.normalization not in NORMALIZATION_SCHEMES:

@@ -48,13 +48,16 @@ def validate_layer_dims(dims, k: int, feature_dims, n: int) -> list[int]:
     return dims
 
 
-def pretrain_view(x, dims, iters: int, seed: int = 0) -> ViewFactorization:
-    """Greedy layer-wise pretraining: factorize x, then each representation in turn."""
+def pretrain_view(x, dims, iters: int, seeds) -> ViewFactorization:
+    """Greedy layer-wise pretraining: factorize x, then each representation in turn.
+
+    Layer j is seeded by k-means with seed seeds[j]; there is one seed per width.
+    """
     x = as_matrix(x, "x")
     vf = ViewFactorization(x=x)
     current = x
-    for j, width in enumerate(dims):
-        factors = fit_layer(current, width, iters=iters, seed=seed + j)
+    for width, seed in zip(dims, seeds, strict=True):
+        factors = fit_layer(current, width, iters=iters, seed=seed)
         vf.z.append(factors.z)
         vf.h.append(factors.h)
         current = factors.h

@@ -43,6 +43,18 @@ RESIDUAL_LIMIT = 1e-6
 VIEW_SEED_STRIDE = 1000
 
 
+def kmeans_seed(seed: int, view: int | None = None, layer: int = 0) -> int:
+    """The seed of one k-means call of a fit with seed `seed`.
+
+    The final clustering gets `seed` itself; the seeding of pretraining layer
+    `layer` of view `view` gets seed + VIEW_SEED_STRIDE * (view + 1) + layer.
+    kmeans then gives its restart r the generator default_rng(seed + r).
+    """
+    if view is None:
+        return seed
+    return seed + VIEW_SEED_STRIDE * (view + 1) + layer
+
+
 @dataclass
 class HyperParams:
     lam: float
@@ -87,8 +99,11 @@ class FitResult:
     h: np.ndarray                  # final k x n consensus
     labels: np.ndarray             # k-means clustering of the consensus columns
     history: list = field(default_factory=list)
-    iterations_run: int = 0
     scores: dict | None = None     # acc/nmi/pur when ground truth is known
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.history)
 
     @property
     def objectives(self) -> np.ndarray:
@@ -152,7 +167,9 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
         _, views = memo[key]
     else:
         views = [
-            pretrain_view(x, dims, seed=hp.seed + VIEW_SEED_STRIDE * (v + 1), iters=hp.pretrain_iters)
+            pretrain_view(
+                x, dims, hp.pretrain_iters, [kmeans_seed(hp.seed, v, j) for j in range(len(dims))]
+            )
             for v, x in enumerate(dataset.views)
         ]
         for vf in views:
@@ -232,7 +249,7 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
         if it > 0 and check_convergence([rec.objective for rec in history[-2:]], hp.tol):
             break
     labels = kmeans(
-        state.h.T, dataset.k, restarts=hp.kmeans_restarts, seed=hp.seed
+        state.h.T, dataset.k, restarts=hp.kmeans_restarts, seed=kmeans_seed(hp.seed)
     )
     scores = None
     if dataset.truth is not None:
@@ -241,10 +258,4 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
             "nmi": nmi(labels, dataset.truth),
             "pur": purity(labels, dataset.truth),
         }
-    return FitResult(
-        h=state.h,
-        labels=labels,
-        history=history,
-        iterations_run=len(history),
-        scores=scores,
-    )
+    return FitResult(h=state.h, labels=labels, history=history, scores=scores)

@@ -58,7 +58,7 @@ def refit_basis(x, h) -> np.ndarray:
     return x @ pinv(h) if out is None else out
 
 
-def init_layer(x, width: int, seed: int = 0) -> LayerFactors:
+def init_layer(x, width: int, seed: int) -> LayerFactors:
     """Seed one layer from k-means on the columns of x.
 
     h is the cluster indicator matrix plus a 0.2 offset (strictly positive,
@@ -74,7 +74,7 @@ def init_layer(x, width: int, seed: int = 0) -> LayerFactors:
     return LayerFactors(z=refit_basis(x, h), h=h)
 
 
-def fit_layer(x, width: int, iters: int, seed: int = 0) -> LayerFactors:
+def fit_layer(x, width: int, iters: int, seed: int) -> LayerFactors:
     """Alternate h steps and exact z refits; init_layer's z is already fit to the seeded h."""
     if iters < 0:
         raise ValueError("iters must be >= 0")

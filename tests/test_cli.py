@@ -335,6 +335,34 @@ def test_run_rejects_malformed_manifest_views(tmp_path, capsys, views, named):
     assert not (tmp_path / "out").exists()
 
 
+_MANIFEST = {"name": "x", "k": 3, "sample_count": 40, "views": [{"path": "view0.mvm", "dim": 10}]}
+
+
+@pytest.mark.parametrize("text, named", [
+    (json.dumps({**_MANIFEST, "truth": 5}), "truth must be a path string, got 5"),
+    (json.dumps({**_MANIFEST, "k": "three"}), "k must be an integer, got 'three'"),
+    (json.dumps({**_MANIFEST, "k": 3.7}), "k must be an integer, got 3.7"),
+    (json.dumps({**_MANIFEST, "k": True}), "k must be an integer, got True"),
+    (json.dumps({**_MANIFEST, "sample_count": 40.5}), "sample_count must be an integer, got 40.5"),
+    (json.dumps({**_MANIFEST, "views": [{"path": "view0.mvm", "dim": 10.5}]}),
+     "view 0 needs path and integer dim: {'path': 'view0.mvm', 'dim': 10.5}"),
+    ('{name: "x"}',
+     "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("5", "expected a JSON object, got 5"),
+], ids=["truth-number", "k-word", "k-fraction", "k-bool", "sample_count-fraction", "dim-fraction",
+        "malformed-json", "not-an-object"])
+def test_run_names_the_manifest_and_the_field_it_rejects(tmp_path, capsys, text, named):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    code = main([
+        "run", "--manifest", str(manifest),
+        "--lambda", "1", "--dims", "6,3", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: manifest {manifest}: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _small_manifest(tmp_path, view0):
     ds = generate_synthetic(n=40, k=3, view_dims=[10, 14], noise_sigma=0.05, seed=7)
     manifest = save_dataset(ds, tmp_path / "data")

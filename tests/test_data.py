@@ -198,6 +198,15 @@ def test_manifest_without_truth_omits_the_key(tmp_path):
     assert Manifest.load(path).truth is None
 
 
+def test_manifest_load_reads_integral_floats_as_integers(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"name": "x", "k": 3.0, "sample_count": 40.0,
+                                "views": [{"path": "v.mvm", "dim": 10.0}]}))
+    m = Manifest.load(path)
+    assert (m.k, m.sample_count, m.views) == (3, 40, [{"path": "v.mvm", "dim": 10}])
+    assert all(type(v) is int for v in (m.k, m.sample_count, m.views[0]["dim"]))
+
+
 def test_manifest_load_reports_missing_fields(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"name": "x", "k": 3, "views": []}))

@@ -68,7 +68,7 @@ def test_validate_layer_dims_rejects_bad_schemes():
 def test_pretrain_single_layer_equals_fit_layer():
     rng = np.random.default_rng(201)
     x = rng.standard_normal((12, 30))
-    vf = pretrain_view(x, [4], seed=11, iters=25)
+    vf = pretrain_view(x, [4], iters=25, seeds=[11])
     direct = fit_layer(x, 4, iters=25, seed=11)
     assert np.array_equal(vf.z[0], direct.z)
     assert np.array_equal(vf.h[0], direct.h)
@@ -77,7 +77,7 @@ def test_pretrain_single_layer_equals_fit_layer():
 def test_pretrain_shapes_and_nonnegativity():
     rng = np.random.default_rng(203)
     x = rng.standard_normal((20, 50))
-    vf = pretrain_view(x, [10, 6, 3], seed=0, iters=10)
+    vf = pretrain_view(x, [10, 6, 3], iters=10, seeds=[0, 1, 2])
     assert [z.shape for z in vf.z] == [(20, 10), (10, 6), (6, 3)]
     assert [h.shape for h in vf.h] == [(10, 50), (6, 50), (3, 50)]
     assert all(h.min() >= 0 for h in vf.h)
@@ -90,7 +90,7 @@ def test_pretrain_recovers_planted_clusters():
     ds = generate_synthetic(n=300, k=3, view_dims=[40], noise_sigma=0.05,
                             seed=105, nuisance_dim=9, nuisance_scale=2.8)
     x = normalize(ds.views[0], "l2-sample")
-    vf = pretrain_view(x, [12, 3], seed=5, iters=200)
+    vf = pretrain_view(x, [12, 3], iters=200, seeds=[5, 6])
     labels = kmeans(vf.h[-1].T, 3, restarts=10, seed=0)
     assert accuracy(labels, ds.truth) >= 0.9
 
@@ -99,8 +99,8 @@ def test_pretrain_depth_beats_shallow_on_nuisance_data():
     ds = generate_synthetic(n=300, k=3, view_dims=[40], noise_sigma=0.05,
                             seed=105, nuisance_dim=9, nuisance_scale=2.8)
     x = normalize(ds.views[0], "l2-sample")
-    deep = pretrain_view(x, [12, 3], seed=5, iters=200)
-    shallow = pretrain_view(x, [3], seed=5, iters=200)
+    deep = pretrain_view(x, [12, 3], iters=200, seeds=[5, 6])
+    shallow = pretrain_view(x, [3], iters=200, seeds=[5])
     acc_deep = accuracy(kmeans(deep.h[-1].T, 3, restarts=10, seed=0), ds.truth)
     acc_shallow = accuracy(kmeans(shallow.h[-1].T, 3, restarts=10, seed=0), ds.truth)
     assert acc_deep > acc_shallow
@@ -109,10 +109,17 @@ def test_pretrain_depth_beats_shallow_on_nuisance_data():
 def test_pretrain_deterministic():
     rng = np.random.default_rng(207)
     x = rng.standard_normal((15, 35))
-    a = pretrain_view(x, [6, 2], seed=4, iters=15)
-    b = pretrain_view(x, [6, 2], seed=4, iters=15)
+    a = pretrain_view(x, [6, 2], iters=15, seeds=[4, 5])
+    b = pretrain_view(x, [6, 2], iters=15, seeds=[4, 5])
     assert all(np.array_equal(p, q) for p, q in zip(a.z, b.z))
     assert all(np.array_equal(p, q) for p, q in zip(a.h, b.h))
+
+
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+def test_pretrain_takes_one_seed_per_layer(seeds):
+    x = np.random.default_rng(209).standard_normal((15, 35))
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+        pretrain_view(x, [6, 2], iters=1, seeds=seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import mvfuse.fusion as fusion_module
 import mvfuse.pipeline as pipeline_module
+import mvfuse.seminmf as seminmf_module
 from mvfuse.data import MultiViewDataset, generate_synthetic, normalize_dataset
 from mvfuse.deep import reconstruction_loss
 from mvfuse.linalg import NumericalError
@@ -102,6 +103,21 @@ def test_init_state_seeds_views_independently():
     # same widths, different pretraining randomness per view
     assert views[0].h[-1].shape == views[1].h[-1].shape
     assert not np.allclose(views[0].h[-1], views[1].h[-1])
+
+
+def test_every_kmeans_call_of_a_fit_takes_its_seed_from_the_layout(monkeypatch):
+    calls = []
+    for module, where in ((seminmf_module, "pretraining"), (pipeline_module, "final")):
+        def spy(*args, seed, original=module.kmeans, where=where, **kwargs):
+            calls.append((where, seed))
+            return original(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(module, "kmeans", spy)
+    seed = 5
+    fit(_small_dataset(), HyperParams(lam=1.0, dims=[8, 6, 3], max_iter=2, seed=seed))
+    # view v, layer j pretrains from seed + 1000 (v + 1) + j; the final call from seed
+    expect = [("pretraining", seed + 1000 * (v + 1) + j) for v in range(2) for j in range(3)]
+    assert calls == expect + [("final", seed)]
 
 
 def test_init_state_validates_layer_scheme():

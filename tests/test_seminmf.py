@@ -115,9 +115,9 @@ def test_init_layer_deterministic():
 def test_init_layer_validates_width():
     x = np.ones((4, 6))
     with pytest.raises(ValueError):
-        init_layer(x, 0)
+        init_layer(x, 0, seed=0)
     with pytest.raises(ValueError):
-        init_layer(x, 5)  # wider than the feature dimension
+        init_layer(x, 5, seed=0)  # wider than the feature dimension
 
 
 def test_fit_layer_monotone_per_step():
