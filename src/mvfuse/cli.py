@@ -23,8 +23,7 @@ from mvfuse.data import (
     write_matrix_binary,
 )
 from mvfuse.linalg import NumericalError
-from mvfuse.metrics import accuracy, nmi, purity
-from mvfuse.pipeline import HyperParams, fit, shared_pretraining
+from mvfuse.pipeline import SCORE_KEYS, HyperParams, fit, score_labels, shared_pretraining
 
 LAMBDA_EXPONENTS = range(-12, 6)          # 2^-12 .. 2^5, 18 values
 SCHEME_KINDS = ("p2", "p3")               # two- and three-layer scheme families
@@ -142,7 +141,7 @@ def _map(fn, items, threads):
 def _values(res) -> list:
     """Objective, acc, nmi and pur of one repeat; the scores are None without ground truth."""
     scores = res.scores or {}
-    return [res.history[-1].objective] + [scores.get(key) for key in ("acc", "nmi", "pur")]
+    return [res.history[-1].objective] + [scores.get(key) for key in SCORE_KEYS]
 
 
 def _mean_std(values):
@@ -166,7 +165,7 @@ def _summary(results):
     return best, [mean for mean, _ in stats], [std for _, std in stats]
 
 
-RESULT_COLUMNS = "repeat seed lambda dims norm iterations objective acc nmi pur".split()
+RESULT_COLUMNS = "repeat seed lambda dims norm iterations objective".split() + list(SCORE_KEYS)
 
 
 def _results_table(results, repeats, norm):
@@ -202,10 +201,8 @@ def cmd_run(args) -> int:
     print(f"dataset {dataset.name}: {dataset.num_views} views, n={dataset.n}, k={dataset.k}")
     print(f"repeats={args.repeats} lambda={_fmt(args.lam)} dims={','.join(map(str, dims))}")
     if best_res.scores is not None:
-        print(
-            f"best repeat {best}: acc={_fmt(best_res.scores['acc'])} "
-            f"nmi={_fmt(best_res.scores['nmi'])} pur={_fmt(best_res.scores['pur'])}"
-        )
+        scores = " ".join(f"{key}={_fmt(best_res.scores[key])}" for key in SCORE_KEYS)
+        print(f"best repeat {best}: {scores}")
     else:
         print(f"best repeat {best}: objective={_fmt(best_res.history[-1].objective)}")
     print(f"wrote {out / 'results.tsv'}")
@@ -213,9 +210,11 @@ def cmd_run(args) -> int:
 
 
 GRID_COLUMNS = (
-    "cell lambda dims norm repeats status best_acc best_nmi best_pur "
-    "mean_acc std_acc mean_nmi std_nmi mean_pur std_pur mean_objective error"
-).split()
+    "cell lambda dims norm repeats status".split()
+    + [f"best_{key}" for key in SCORE_KEYS]
+    + [f"{stat}_{key}" for key in SCORE_KEYS for stat in ("mean", "std")]
+    + ["mean_objective", "error"]
+)
 
 
 def cmd_grid(args) -> int:
@@ -262,14 +261,16 @@ def cmd_grid(args) -> int:
             if failure is not None:
                 failed += 1
                 error = str(failure).replace("\t", " ").replace("\n", " ")
-                rows.append("\t".join(head + ["failed"] + ["nan"] * 10 + [error]))
+                nans = ["nan"] * (len(GRID_COLUMNS) - len(head) - 2)
+                rows.append("\t".join(head + ["failed"] + nans + [error]))
                 continue
             top, mean, std = _summary(results)
-            _, acc, nmi_v, pur = _values(results[top])
+            best_scores = _values(results[top])[1:]
             spread = [stat for pair in zip(mean[1:], std[1:]) for stat in pair]
             rows.append("\t".join(
-                head + ["ok"] + [_fmt(v) for v in [acc, nmi_v, pur] + spread + [mean[0]]] + [""]
+                head + ["ok"] + [_fmt(v) for v in best_scores + spread + [mean[0]]] + [""]
             ))
+            acc = best_scores[0]
             if acc is not None and acc > best_acc:
                 best_acc = acc
                 best_line = f"best cell {head[0]}: lambda={head[1]} dims={head[2]} acc={_fmt(acc)}"
@@ -293,11 +294,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = read_labels(args.pred)
-    truth = read_labels(args.truth)
-    print(f"ACC {_fmt(accuracy(pred, truth))}")
-    print(f"NMI {_fmt(nmi(pred, truth))}")
-    print(f"PUR {_fmt(purity(pred, truth))}")
+    scores = score_labels(read_labels(args.pred), read_labels(args.truth))
+    for key in SCORE_KEYS:
+        print(f"{key.upper()} {_fmt(scores[key])}")
     return 0
 
 

@@ -111,6 +111,8 @@ class Manifest:
         for key in ("name", "k", "sample_count", "views"):
             if key not in raw:
                 raise ValueError(f"manifest {path}: missing field {key!r}")
+        if not isinstance(raw["name"], str):
+            raise ValueError(f"manifest {path}: name must be a string, got {raw['name']!r}")
         for key in ("k", "sample_count"):
             if _json_int(raw[key]) is None:
                 raise ValueError(f"manifest {path}: {key} must be an integer, got {raw[key]!r}")
@@ -126,7 +128,7 @@ class Manifest:
         if truth is not None and not isinstance(truth, str):
             raise ValueError(f"manifest {path}: truth must be a path string, got {truth!r}")
         m = cls(
-            name=str(raw["name"]),
+            name=raw["name"],
             k=_json_int(raw["k"]),
             sample_count=_json_int(raw["sample_count"]),
             views=views,
@@ -219,20 +221,38 @@ def read_labels(path) -> np.ndarray:
         raise ValueError(f"{path}: labels must be integers") from exc
 
 
+# Below this a column's sum of squares has lost bits to underflow.
+L2_SAFE_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
 def normalize(x, scheme: str = DEFAULT_NORMALIZATION) -> np.ndarray:
     """Per-view normalization.
 
     "l2-sample" scales every column (sample) to unit l2 norm, leaving
     all-zero columns untouched; "minmax-feature" maps every row (feature)
-    onto [0, 1], sending constant rows to zero.
+    onto [0, 1], sending constant rows to zero. Both work on every finite
+    input: a column whose squared norm overflows or underflows is divided by
+    its largest |entry| first, and a row whose range overflows is halved.
     """
     x = as_matrix(x)
     if scheme == "l2-sample":
-        norms = np.linalg.norm(x, axis=0, keepdims=True)
-        return x / np.where(norms == 0.0, 1.0, norms)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(x, axis=0)
+        out = x / np.where(norms == 0.0, 1.0, norms)
+        lost = (norms < L2_SAFE_NORM) | (norms == np.inf)
+        lost[lost] = x[:, lost].any(axis=0)  # an all-zero column stays as it is
+        if lost.any():  # only these columns change; every other one keeps its bits
+            y = x[:, lost] / np.abs(x[:, lost]).max(axis=0)
+            out[:, lost] = y / np.linalg.norm(y, axis=0)
+        return out
     if scheme == "minmax-feature":
-        lo = x.min(axis=1, keepdims=True)
-        span = x.max(axis=1, keepdims=True) - lo
+        lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            span = hi - lo
+        wide = span == np.inf
+        if wide.any():  # the halved row has a finite range and the same map
+            x, lo = np.where(wide, x / 2, x), np.where(wide, lo / 2, lo)
+            span = np.where(wide, hi / 2, hi) - lo
         out = (x - lo) / np.where(span == 0.0, 1.0, span)
         out[np.broadcast_to(span == 0.0, out.shape)] = 0.0
         return out
@@ -240,6 +260,7 @@ def normalize(x, scheme: str = DEFAULT_NORMALIZATION) -> np.ndarray:
 
 
 def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION) -> MultiViewDataset:
+    """The dataset with every view normalized by `scheme`, which it records."""
     return MultiViewDataset(
         views=[normalize(x, scheme) for x in ds.views],
         truth=ds.truth,
@@ -250,7 +271,7 @@ def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION)
 
 
 def load_dataset(manifest_path, normalization: str | None = None) -> MultiViewDataset:
-    """Load and normalize the dataset a manifest describes.
+    """Load the dataset a manifest describes and normalize it with normalize_dataset.
 
     The manifest's scheme applies unless `normalization` overrides it. Every
     view is checked against its declared dimension and the shared sample
@@ -258,7 +279,6 @@ def load_dataset(manifest_path, normalization: str | None = None) -> MultiViewDa
     """
     manifest = Manifest.load(manifest_path)
     base = Path(manifest_path).parent
-    scheme = normalization or manifest.normalization
     views = []
     for i, entry in enumerate(manifest.views):
         vpath = base / entry["path"]
@@ -270,13 +290,10 @@ def load_dataset(manifest_path, normalization: str | None = None) -> MultiViewDa
                 f"view {i} ({entry['path']}): expected {entry['dim']}x{manifest.sample_count}, "
                 f"got {x.shape[0]}x{x.shape[1]}"
             )
-        views.append(normalize(x, scheme))
-    truth = None
-    if manifest.truth is not None:
-        truth = read_labels(base / manifest.truth)
-    return MultiViewDataset(
-        views=views, truth=truth, k=manifest.k, name=manifest.name, normalization=scheme
-    ).validate()
+        views.append(x)
+    truth = None if manifest.truth is None else read_labels(base / manifest.truth)
+    raw = MultiViewDataset(views=views, truth=truth, k=manifest.k, name=manifest.name)
+    return normalize_dataset(raw, normalization or manifest.normalization)
 
 
 def save_dataset(

@@ -2,12 +2,12 @@
 
 The consensus h is a row-orthonormal k x n matrix chasing every view's
 partition through a per-view rotation w; alpha weights reconstruction
-quality, beta weights alignment quality.
+quality, beta weights alignment quality. Each step is its block's exact
+optimum; beta's holds even when no view aligns positively.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +103,9 @@ def update_alpha(losses) -> np.ndarray:
 def update_beta(partitions, rotations, consensus):
     """Alignment weights maximizing sum_v beta_v f_v on the non-negative unit sphere.
 
-    f_v = tr(partition_v.T @ rotation_v @ consensus). Negative components are
-    clamped to zero before normalizing; if no view aligns positively the
-    weights fall back to uniform and a warning is issued. Returns (beta, f).
+    f_v = tr(partition_v.T @ rotation_v @ consensus). The maximiser clamps f
+    at zero and normalizes; when no trace is positive it is the unit vector
+    at argmax f, the first view on ties. Returns (beta, f).
     """
     f = np.array(
         [float(np.sum(hm * (w @ consensus))) for hm, w in zip(partitions, rotations)]
@@ -113,13 +113,7 @@ def update_beta(partitions, rotations, consensus):
     clamped = np.maximum(f, 0.0)
     norm = np.linalg.norm(clamped)
     if norm == 0.0:
-        warnings.warn(
-            "no view aligns positively with the consensus; using uniform beta",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        v = len(f)
-        return np.full(v, 1.0 / np.sqrt(v)), f
+        return np.eye(len(f))[np.argmax(f)], f
     return clamped / norm, f
 
 

@@ -4,8 +4,10 @@ From a start that is pretraining alone, one outer iteration runs, in order:
 the consensus step, a full fine-tuning sweep of every view (basis refits,
 representation steps, partition step), the per-view rotation steps, the
 alpha step, and the beta step; iteration 0's consensus step is the first.
-The joint objective is recorded after the beta step; the loop stops when
-its relative change falls below tol or after max_iter iterations.
+The joint objective is recorded after the beta step; from iteration 1 on,
+the loop stops when its relative change falls below tol (check_convergence),
+else after max_iter iterations. score_labels is the one scorer of labels
+against ground truth, for fit and for every CLI report.
 """
 
 from __future__ import annotations
@@ -110,12 +112,19 @@ class FitResult:
         return np.array([rec.objective for rec in self.history])
 
 
-def check_convergence(objectives, tol: float) -> bool:
-    """Relative change of the last two objective values fell below tol."""
-    if len(objectives) < 2:
-        raise ValueError("need at least two objective values")
-    prev, last = objectives[-2], objectives[-1]
+def check_convergence(prev: float, last: float, tol: float) -> bool:
+    """The relative change from the objective prev to the next one, last, fell below tol."""
     return abs(last - prev) / max(abs(prev), 1e-12) < tol
+
+
+# The scores of a labelling against ground truth, in the order every report prints them.
+SCORE_KEYS = ("acc", "nmi", "pur")
+
+
+def score_labels(labels, truth) -> dict:
+    """acc, nmi and pur of labels against truth, keyed by SCORE_KEYS."""
+    scores = accuracy(labels, truth), nmi(labels, truth), purity(labels, truth)
+    return dict(zip(SCORE_KEYS, scores))
 
 
 # Per-thread init_state memo, set only inside a shared_pretraining() block.
@@ -191,15 +200,16 @@ def _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate
         w_residuals=np.array(res["w"]),
         alpha_residual=res["alpha"],
         beta_residual=res["beta"],
-        min_h_entry=min(float(h.min()) for vf in views for h in vf.h),
+        min_h_entry=float(np.min([h.min() for vf in views for h in vf.h])),  # NaN-propagating
         consensus_degenerate=consensus_degenerate,
         rotation_degenerate=np.array(rotation_degenerate),
     )
-    worst = max(rec.h_residual, rec.w_residuals.max(), rec.alpha_residual, rec.beta_residual)
-    if worst > RESIDUAL_LIMIT or rec.min_h_entry < 0:
+    residuals = np.array([rec.h_residual, *rec.w_residuals, rec.alpha_residual, rec.beta_residual])
+    # Each value must compare within its bound, so a NaN anywhere fails the check.
+    if not (np.all(residuals <= RESIDUAL_LIMIT) and rec.min_h_entry >= 0 and np.isfinite(obj)):
         raise NumericalError(
-            f"iteration {it}, constraint check: residual {worst:.3e}, "
-            f"min representation entry {rec.min_h_entry:.3e}"
+            f"iteration {it}, constraint check: residual {residuals.max():.3e}, "
+            f"min representation entry {rec.min_h_entry:.3e}, objective {obj:.6g}"
         )
     return rec
 
@@ -246,16 +256,10 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
         history.append(
             _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate, it)
         )
-        if it > 0 and check_convergence([rec.objective for rec in history[-2:]], hp.tol):
+        if it > 0 and check_convergence(history[-2].objective, history[-1].objective, hp.tol):
             break
     labels = kmeans(
         state.h.T, dataset.k, restarts=hp.kmeans_restarts, seed=kmeans_seed(hp.seed)
     )
-    scores = None
-    if dataset.truth is not None:
-        scores = {
-            "acc": accuracy(labels, dataset.truth),
-            "nmi": nmi(labels, dataset.truth),
-            "pur": purity(labels, dataset.truth),
-        }
+    scores = None if dataset.truth is None else score_labels(labels, dataset.truth)
     return FitResult(h=state.h, labels=labels, history=history, scores=scores)

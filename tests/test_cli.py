@@ -349,8 +349,10 @@ _MANIFEST = {"name": "x", "k": 3, "sample_count": 40, "views": [{"path": "view0.
     ('{name: "x"}',
      "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("5", "expected a JSON object, got 5"),
+    (json.dumps({**_MANIFEST, "name": None}), "name must be a string, got None"),
+    (json.dumps({**_MANIFEST, "name": 7}), "name must be a string, got 7"),
 ], ids=["truth-number", "k-word", "k-fraction", "k-bool", "sample_count-fraction", "dim-fraction",
-        "malformed-json", "not-an-object"])
+        "malformed-json", "not-an-object", "name-null", "name-number"])
 def test_run_names_the_manifest_and_the_field_it_rejects(tmp_path, capsys, text, named):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(text)
@@ -688,6 +690,21 @@ def test_eval_scores_label_files(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "ACC 0.75"
     assert out[2] == "PUR 0.75"
+
+
+def test_eval_and_run_report_the_same_scores(tmp_path, capsys):
+    ds = generate_synthetic(n=40, k=3, view_dims=[10, 14], noise_sigma=1.5, seed=7)
+    manifest = save_dataset(ds, tmp_path / "data")
+    assert _run_manifest(manifest, tmp_path / "out") == 0
+    summary = capsys.readouterr().out.splitlines()[2]
+    hp = HyperParams(lam=1.0, dims=[6, 3], max_iter=10, kmeans_restarts=5)
+    res = fit(load_dataset(manifest), hp)
+    write_labels(tmp_path / "pred.txt", res.labels)
+    truth = tmp_path / "data" / "truth.txt"
+    assert main(["eval", "--pred", str(tmp_path / "pred.txt"), "--truth", str(truth)]) == 0
+    scores = [line.replace(" ", "=").lower() for line in capsys.readouterr().out.splitlines()]
+    assert summary == "best repeat 0: " + " ".join(scores)
+    assert res.scores["acc"] < 1.0  # not a trivially saturated labelling
 
 
 def test_eval_reports_missing_files(tmp_path, capsys):

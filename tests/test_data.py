@@ -63,6 +63,34 @@ def test_minmax_feature_normalization_is_idempotent():
     assert np.max(np.abs(once - twice)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160],
+                         ids=["overflow", "underflow", "subnormal-squares"])
+def test_l2_sample_normalization_survives_extreme_columns(scale):
+    # The squared norm of the first column overflows or loses bits to underflow;
+    # the other columns must keep the bits of the plain norm-and-divide.
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((4, 6))
+    x[:, 0] = [1.0, 2.0, 0.0, -2.0]
+    x[:, 0] *= scale
+    x[:, 5] = 0.0
+    out = normalize(x, "l2-sample")
+    assert np.allclose(out[:, 0], np.array([1.0, 2.0, 0.0, -2.0]) / 3.0, rtol=1e-15, atol=0)
+    assert abs(np.linalg.norm(out[:, 0]) - 1.0) <= 1e-15
+    assert np.array_equal(out[:, 1:5], x[:, 1:5] / np.linalg.norm(x[:, 1:5], axis=0))
+    assert np.array_equal(out[:, 5], np.zeros(4))  # an all-zero column stays untouched
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_minmax_feature_normalization_survives_a_range_past_the_float64_maximum():
+    x = np.array([[-1e308, 0.0, 5e307, 1e308], [1.0, 3.0, 2.0, 5.0]])
+    out = normalize(x, "minmax-feature")
+    assert np.array_equal(out[0], [0.0, 0.5, 0.75, 1.0])
+    assert np.array_equal(out[1], (x[1] - 1.0) / 4.0)  # an ordinary row keeps its bits
+    ds = MultiViewDataset(views=[x], truth=None, k=2)
+    assert np.array_equal(normalize_dataset(ds, "minmax-feature").views[0], out)
+
+
 def test_normalize_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="unknown normalization"):
         normalize(np.ones((2, 2)), "zscore")

@@ -209,12 +209,18 @@ def test_beta_clamps_negative_traces():
     assert np.array_equal(traces, [-1.0, 1.0])
 
 
-def test_beta_falls_back_to_uniform_when_nothing_aligns():
-    partitions, rotations, consensus = _beta_fixture([-1.0, -2.0])
-    with pytest.warns(RuntimeWarning, match="no view aligns positively"):
-        beta, traces = update_beta(partitions, rotations, consensus)
-    assert np.allclose(beta, np.full(2, 1.0 / np.sqrt(2.0)))
-    assert np.array_equal(traces, [-1.0, -2.0])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("traces, expected", [
+    ([-1.0, -2.0], [1.0, 0.0]),
+    ([-3.0, -2.0, -5.0], [0.0, 1.0, 0.0]),
+    ([-1.0, 0.0], [0.0, 1.0]),
+    ([-2.0, -2.0], [1.0, 0.0]),  # a tie goes to the first view
+], ids=["first-best", "middle-best", "zero-trace-best", "tie"])
+def test_beta_puts_all_weight_on_the_best_trace_when_nothing_aligns(traces, expected):
+    partitions, rotations, consensus = _beta_fixture(traces)
+    beta, f = update_beta(partitions, rotations, consensus)
+    assert np.array_equal(beta, expected)
+    assert np.array_equal(f, traces)
 
 
 def test_beta_has_unit_norm_on_random_views():
@@ -228,14 +234,15 @@ def test_beta_has_unit_norm_on_random_views():
 
 def test_beta_beats_unit_circle_grid():
     # For two views the feasible set is the first-quadrant arc; a fine sweep
-    # of it must not beat the clamp-and-normalize solution.
-    partitions, rotations, consensus = _beta_fixture([3.0, 4.0])
-    beta, f = update_beta(partitions, rotations, consensus)
-    assert np.array_equal(f, [3.0, 4.0])
-    best = float(beta @ f)
-    for theta in np.arange(0.0, np.pi / 2 + 1e-9, 1e-3):
-        cand = np.array([np.cos(theta), np.sin(theta)])
-        assert float(cand @ f) <= best + 1e-12
+    # of it must not beat the beta step, whatever the signs of the traces.
+    for traces in ([3.0, 4.0], [-1.0, 2.0], [-1.0, -2.0], [-2.0, -1.0]):
+        partitions, rotations, consensus = _beta_fixture(traces)
+        beta, f = update_beta(partitions, rotations, consensus)
+        assert np.array_equal(f, traces)
+        best = float(beta @ f)
+        for theta in np.arange(0.0, np.pi / 2 + 1e-9, 1e-3):
+            cand = np.array([np.cos(theta), np.sin(theta)])
+            assert float(cand @ f) <= best + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import mvfuse.pipeline as pipeline_module
 import mvfuse.seminmf as seminmf_module
 from mvfuse.data import MultiViewDataset, generate_synthetic, normalize_dataset
 from mvfuse.deep import reconstruction_loss
+from mvfuse.fusion import update_consensus
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import (
     HyperParams,
@@ -61,11 +62,10 @@ def test_hyperparams_name_a_negative_seed_and_a_non_finite_value(field, value, r
 
 
 def test_check_convergence():
-    assert check_convergence([10.0, 10.0 + 1e-9], 1e-6)
-    assert not check_convergence([10.0, 10.1], 1e-6)
-    assert check_convergence([0.0, 0.0], 1e-6)  # guarded denominator
-    with pytest.raises(ValueError):
-        check_convergence([1.0], 1e-6)
+    assert check_convergence(10.0, 10.0 + 1e-9, 1e-6)
+    assert not check_convergence(10.0, 10.1, 1e-6)
+    assert check_convergence(0.0, 0.0, 1e-6)  # guarded denominator
+    assert not check_convergence(-1e-12, 1e-12, 1e-6)  # relative to the previous value
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,39 @@ def test_fit_is_bitwise_deterministic():
     assert a.h.tobytes() == b.h.tobytes()
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.objectives, b.objectives)
+
+
+def _healthy_record_inputs():
+    ds = _small_dataset()
+    views, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
+    state.h, _ = update_consensus([vf.h[-1] for vf in views], state.w, state.beta)
+    losses = np.array([reconstruction_loss(vf) for vf in views])
+    return views, state, losses
+
+
+def _poison_partition(views, state):
+    views[1].h[-1] = views[1].h[-1].copy()
+    views[1].h[-1][2, 5] = np.nan  # gives min_h_entry = nan
+    return -1.0
+
+
+def _poison_consensus(views, state):
+    state.h = np.full_like(state.h, np.nan)  # gives h_residual = nan
+    return np.nan  # and a NaN objective
+
+
+@pytest.mark.parametrize("poison", [
+    _poison_partition,
+    _poison_consensus,
+    lambda views, state: np.nan,
+    lambda views, state: -np.inf,
+], ids=["nan-partition", "nan-consensus", "nan-objective", "infinite-objective"])
+def test_record_fails_closed_on_non_finite_values(poison):
+    views, state, losses = _healthy_record_inputs()
+    pipeline_module._record(views, state, -1.0, losses, False, [False, False], 4)  # healthy: passes
+    obj = poison(views, state)
+    with pytest.raises(NumericalError, match="^iteration 4, constraint check: "):
+        pipeline_module._record(views, state, obj, losses, False, [False, False], 4)
 
 
 def test_fit_names_the_failing_block(monkeypatch):

@@ -7,6 +7,10 @@ any of these outputs:
 
 - five fits: the h, labels and objective trace of each, plus its iteration
   count and final objective;
+- `eval`'s stdout for the labels of the first fit against its ground truth;
+- `run --manifest` on the benchmark dataset saved as text: its stdout (with
+  the output directory masked), `results.tsv`, `objective_trace.txt` and
+  `embedding.mvm`;
 - `grid.tsv` of the grid-deep benchmark argv at `--seed` 0 and 1.
 
 A fit takes a few seconds; the whole script under a minute on 2 cores.
@@ -25,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mvfuse.cli import main
-from mvfuse.data import generate_synthetic, normalize_dataset, save_dataset
+from mvfuse.data import generate_synthetic, normalize_dataset, save_dataset, write_labels
 from mvfuse.pipeline import HyperParams, fit
 
 # tests/conftest.py's benchmark dataset, and its nuisance variant.
@@ -51,8 +55,26 @@ GRID_ARGS = [
 ]
 
 
+# The fit whose labels `eval` scores.
+EVAL_FIT = "benchmark-seed0"
+
+# `run`'s arguments on the benchmark dataset: the first fit's configuration, two repeats.
+RUN_ARGS = ["--lambda", "1", "--dims", "12,3", "--repeats", "2", "--seed", "0", "--emit-embedding"]
+RUN_FILES = ("results.tsv", "objective_trace.txt", "embedding.mvm")
+
+
 def sha(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def cli_stdout(argv) -> str:
+    """The stdout of one CLI command, which must exit 0."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited with code {code}")
+    return stdout.getvalue()
 
 
 def fit_lines(name, spec, dims, lam, max_iter, seed):
@@ -62,6 +84,23 @@ def fit_lines(name, spec, dims, lam, max_iter, seed):
     yield f"{name} labels {sha(res.labels.tobytes())}"
     yield f"{name} objectives {sha(res.objectives.tobytes())}"
     yield f"{name} iterations {res.iterations_run} final {float(res.objectives[-1])!r}"
+    if name == EVAL_FIT:
+        with tempfile.TemporaryDirectory() as tmp:
+            pred, truth = Path(tmp) / "pred.txt", Path(tmp) / "truth.txt"
+            write_labels(pred, res.labels)
+            write_labels(truth, ds.truth)
+            stdout = cli_stdout(["eval", "--pred", str(pred), "--truth", str(truth)])
+        yield f"{name} eval {sha(stdout.encode())}"
+
+
+def run_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = save_dataset(generate_synthetic(**BENCHMARK), Path(tmp) / "data", fmt="text")
+        out = Path(tmp) / "run"
+        stdout = cli_stdout(["run", "--manifest", str(manifest), "--out", str(out), *RUN_ARGS])
+        yield f"benchmark-run stdout {sha(stdout.replace(str(out), 'OUT').encode())}"
+        for fname in RUN_FILES:
+            yield f"benchmark-run {fname} {sha((out / fname).read_bytes())}"
 
 
 def grid_lines(seeds=(0, 1)):
@@ -69,12 +108,8 @@ def grid_lines(seeds=(0, 1)):
         manifest = save_dataset(generate_synthetic(**NUISANCE), Path(tmp) / "data", fmt="text")
         for seed in seeds:
             out = Path(tmp) / f"grid{seed}"
-            argv = ["grid", "--manifest", str(manifest), "--out", str(out),
-                    *GRID_ARGS, "--seed", str(seed)]
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-            if code != 0:
-                raise SystemExit(f"grid --seed {seed} exited with code {code}")
+            cli_stdout(["grid", "--manifest", str(manifest), "--out", str(out),
+                        *GRID_ARGS, "--seed", str(seed)])
             yield f"grid-deep-seed{seed} grid.tsv {sha((out / 'grid.tsv').read_bytes())}"
 
 
@@ -82,5 +117,7 @@ if __name__ == "__main__":
     for args in FITS:
         for line in fit_lines(*args):
             print(line, flush=True)
+    for line in run_lines():
+        print(line, flush=True)
     for line in grid_lines():
         print(line, flush=True)
