@@ -103,6 +103,10 @@ def _parse_synthetic_spec(spec: str) -> dict:
 def _load_data(args):
     """Check the options run and grid share; return the normalized dataset,
     which records the scheme applied to it."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     if args.threads < 1:
@@ -122,11 +126,8 @@ FIT_FLAGS = {"max_iter": "--max-iter", "tol": "--tol", "kmeans_restarts": "--res
 
 def _repeat_params(args, lam, dims, lam_flag) -> list[HyperParams]:
     """The validated HyperParams of every repeat; repeat i has seed --seed + i."""
-    try:
-        hp = HyperParams(lam=lam, dims=dims, **{f: getattr(args, f) for f in FIT_FLAGS}).validate()
-    except ValueError as exc:  # validate() names the field first; name its flag instead
-        field, rule = str(exc).split(" ", 1)
-        raise ValueError(f"{lam_flag if field == 'lam' else FIT_FLAGS[field]} {rule}") from None
+    hp = HyperParams(lam=lam, dims=dims, **{f: getattr(args, f) for f in FIT_FLAGS})
+    hp.validate(names={**FIT_FLAGS, "lam": lam_flag})
     return [replace(hp, seed=hp.seed + i) for i in range(args.repeats)]
 
 
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NumericalError) as exc:
+    except (ValueError, NumericalError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

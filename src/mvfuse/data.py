@@ -35,7 +35,7 @@ DEFAULT_NORMALIZATION = "l2-sample"
 NORMALIZATION_SCHEMES = (DEFAULT_NORMALIZATION, "minmax-feature")
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity, so a dataset can key a memo
 class MultiViewDataset:
     views: list               # d_v x n float64 matrices, shared sample axis
     truth: np.ndarray | None  # n ground-truth labels in [0, k), or None
@@ -100,8 +100,6 @@ class Manifest:
     @classmethod
     def load(cls, path) -> "Manifest":
         path = Path(path)
-        if not path.is_file():
-            raise ValueError(f"manifest not found: {path}")
         try:
             raw = json.loads(path.read_text())
         except ValueError as exc:  # malformed JSON or text that is not UTF-8
@@ -167,11 +165,18 @@ MATRIX_FORMATS = {"binary": (".mvm", write_matrix_binary), "text": (".txt", writ
 DEFAULT_FORMAT = "binary"
 
 
+def _text_lines(path, blob: bytes) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 faults its line."""
+    try:
+        return blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_matrix(path) -> np.ndarray:
     """Read either matrix format, sniffing the binary magic."""
     path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"matrix file not found: {path}")
     blob = path.read_bytes()
     if blob[: len(MAGIC)] == MAGIC:
         if len(blob) < 16:
@@ -182,25 +187,33 @@ def read_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: expected {expect} bytes for {rows}x{cols}, got {len(blob)}")
         a = np.frombuffer(blob[16:], dtype="<f8").reshape(rows, cols)
         return as_matrix(a.astype(np.float64), str(path))
-    lines = blob.decode("utf-8").splitlines()
+    lines = _text_lines(path, blob)
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     try:
         rows, cols = (int(t) for t in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"{path}: header must be 'rows cols', got {lines[0]!r}") from exc
+    except ValueError:
+        rows = cols = 0
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}, line 1: header must be 'rows cols', both >= 1, got {lines[0]!r}")
     body = [line.split() for line in lines[1 : rows + 1]]
     count = sum(len(tokens) for tokens in body)
     if count != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, got {count}")
+    values = np.empty((rows, cols))
     for lineno, tokens in enumerate(body, start=2):
         if len(tokens) != cols:
             raise ValueError(f"{path}, line {lineno}: expected {cols} values, got {len(tokens)}")
+        try:
+            values[lineno - 2] = np.array(tokens, dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        if not np.isfinite(values[lineno - 2]).all():
+            raise ValueError(f"{path}, line {lineno}: non-finite entry")
     for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
         if line.strip():
             raise ValueError(f"{path}, line {lineno}: unexpected content after {rows} rows")
-    values = np.array([t for tokens in body for t in tokens], dtype=np.float64)
-    return as_matrix(values.reshape(rows, cols), str(path))
+    return as_matrix(values, str(path))
 
 
 def write_labels(path, labels) -> None:
@@ -210,15 +223,15 @@ def write_labels(path, labels) -> None:
 
 def read_labels(path) -> np.ndarray:
     path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"label file not found: {path}")
-    tokens = path.read_text().split()
-    if not tokens:
+    labels = []
+    for lineno, line in enumerate(_text_lines(path, path.read_bytes()), start=1):
+        try:
+            labels += [int(t) for t in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: labels must be integers ({exc})") from None
+    if not labels:
         raise ValueError(f"{path}: empty label file")
-    try:
-        return np.array([int(t) for t in tokens], dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"{path}: labels must be integers") from exc
+    return np.array(labels, dtype=np.int64)
 
 
 # Below this a column's sum of squares has lost bits to underflow.
@@ -275,21 +288,20 @@ def load_dataset(manifest_path, normalization: str | None = None) -> MultiViewDa
 
     The manifest's scheme applies unless `normalization` overrides it. Every
     view is checked against its declared dimension and the shared sample
-    count; failures name the offending view.
+    count; any failure to read a view names it.
     """
     manifest = Manifest.load(manifest_path)
     base = Path(manifest_path).parent
     views = []
     for i, entry in enumerate(manifest.views):
-        vpath = base / entry["path"]
-        if not vpath.is_file():
-            raise ValueError(f"view {i} ({entry['path']}): file not found at {vpath}")
-        x = read_matrix(vpath)
-        if x.shape != (entry["dim"], manifest.sample_count):
-            raise ValueError(
-                f"view {i} ({entry['path']}): expected {entry['dim']}x{manifest.sample_count}, "
-                f"got {x.shape[0]}x{x.shape[1]}"
-            )
+        try:
+            x = read_matrix(base / entry["path"])
+            if x.shape != (entry["dim"], manifest.sample_count):
+                raise ValueError(
+                    f"expected {entry['dim']}x{manifest.sample_count}, got {x.shape[0]}x{x.shape[1]}"
+                )
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"view {i} ({entry['path']}): {exc}") from exc
         views.append(x)
     truth = None if manifest.truth is None else read_labels(base / manifest.truth)
     raw = MultiViewDataset(views=views, truth=truth, k=manifest.k, name=manifest.name)

@@ -3,7 +3,8 @@
 The consensus h is a row-orthonormal k x n matrix chasing every view's
 partition through a per-view rotation w; alpha weights reconstruction
 quality, beta weights alignment quality. Each step is its block's exact
-optimum; beta's holds even when no view aligns positively.
+optimum; alpha's holds even when every view reconstructs exactly, and
+beta's even when no view aligns positively.
 """
 
 from __future__ import annotations
@@ -80,15 +81,14 @@ def update_alpha(losses) -> np.ndarray:
     """Reconstruction weights minimizing sum_v alpha_v^2 loss_v on the simplex.
 
     The minimizer weights each view by the inverse of its loss. Views with
-    exactly zero loss take all the weight, split equally among themselves.
+    exactly zero loss take all the weight, split equally among themselves;
+    when every loss is zero that is the uniform alpha, one of the minimizers.
     """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
         raise ValueError("losses must be a non-empty 1-d array")
     if np.any(losses < 0) or not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite and >= 0")
-    if not np.any(losses > 0):
-        raise ValueError("at least one loss must be > 0")
     inv = np.zeros_like(losses)
     positive = losses > 0
     with np.errstate(divide="ignore", over="ignore"):

@@ -67,7 +67,9 @@ class HyperParams:
     pretrain_iters: int = 50
     seed: int = 0
 
-    def validate(self) -> "HyperParams":
+    def validate(self, names=None) -> "HyperParams":
+        """Check every field's range; an error labels a field by names[field], else its name."""
+        names = names or {}
         for name, ok, rule in (
             ("lam", 0 <= self.lam < np.inf, "finite and >= 0"),
             ("max_iter", self.max_iter >= 1, ">= 1"),
@@ -77,7 +79,7 @@ class HyperParams:
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+                raise ValueError(f"{names.get(name, name)} must be {rule}, got {getattr(self, name)}")
         return self
 
 
@@ -137,9 +139,10 @@ def shared_pretraining():
 
     Inside the block, fits that share the dataset object, the layer dims, the
     seed and pretrain_iters -- all init_state reads, so any lam -- start from
-    one pretraining: the memo holds the dataset and the gauge-fixed views.
-    Results are identical to fits outside a block. The dataset must not
-    change while the block is open. Blocks do not nest.
+    one pretraining. The memo keys the gauge-fixed views by the dataset
+    object itself (datasets compare and hash by identity) and holds it for
+    the block. Results are identical to fits outside a block. The dataset
+    must not change while the block is open. Blocks do not nest.
     """
     _shared.memo = {}
     try:
@@ -155,11 +158,12 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     sphere, and the consensus is None: fit's first consensus step computes
     it. Pretraining is greedy and layer-wise, so it never sees the alignment
     term: hp.lam is never read here. Inside a shared_pretraining() block the
-    gauge-fixed views are memoised per (dataset object, dims, seed,
-    pretrain_iters), and a later call with the same key starts from them
-    without pretraining. Every call returns new factor lists, rotations and
-    weights; the arrays in them are shared, since every update replaces list
-    entries and state fields rather than writing into an array.
+    gauge-fixed views are memoised per (dataset, dims, seed, pretrain_iters),
+    with the dataset object itself as the key, and a later call with the same
+    key starts from them without pretraining. Every call returns new factor
+    lists, rotations and weights; the arrays in them are shared, since every
+    update replaces list entries and state fields rather than writing into an
+    array.
     """
     hp.validate()
     dataset.validate()
@@ -171,9 +175,9 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     alpha = np.full(nviews, 1.0 / nviews)
     beta = np.full(nviews, 1.0 / np.sqrt(nviews))
     memo = getattr(_shared, "memo", None)
-    key = (id(dataset), tuple(dims), hp.seed, hp.pretrain_iters)
+    key = (dataset, tuple(dims), hp.seed, hp.pretrain_iters)
     if memo is not None and key in memo:
-        _, views = memo[key]
+        views = memo[key]
     else:
         views = [
             pretrain_view(
@@ -184,7 +188,7 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
         for vf in views:
             fix_partition_gauge(vf)
         if memo is not None:
-            memo[key] = (dataset, views)  # the held dataset keeps its id from being reused
+            memo[key] = views
     views = [ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h)) for vf in views]
     return views, FusionState(h=None, w=w, alpha=alpha, beta=beta)
 
@@ -244,9 +248,7 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
                 rotation_degenerate.append(degenerate)
             stage = "alpha"
             losses = np.array([reconstruction_loss(vf) for vf in views])
-            if np.any(losses > 0):
-                state.alpha = update_alpha(losses)
-            # else: every view reconstructs exactly; any alpha is optimal, keep it
+            state.alpha = update_alpha(losses)
             stage = "beta"
             state.beta, traces = update_beta([vf.h[-1] for vf in views], state.w, state.h)
             stage = "objective"

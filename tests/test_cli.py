@@ -222,6 +222,27 @@ def test_run_fails_whole_when_any_repeat_fails(tmp_path, monkeypatch, capsys, th
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_fit_commands_reject_an_out_under_a_file_before_any_fit(
+    tmp_path, monkeypatch, capsys, command, out
+):
+    (tmp_path / "afile").write_text("keep\n")
+    calls = []
+    monkeypatch.setattr(cli_module, "fit", lambda *args: calls.append(args))
+    argv = [command, "--synthetic", SMALL_SPEC, "--out", str(tmp_path / out)]
+    if command == "run":
+        argv += ["--lambda", "1", "--dims", "6,3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n"
+    )
+    assert captured.out == "" and calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
 def test_fit_commands_reject_nonpositive_repeats(tmp_path, capsys, command):
     argv = [command, "--synthetic", SMALL_SPEC, "--repeats", "0", "--out", str(tmp_path)]
     if command == "run":
@@ -431,7 +452,8 @@ def test_run_reports_missing_manifest(tmp_path, capsys):
         "--lambda", "1", "--dims", "6,3", "--out", str(tmp_path / "out"),
     ])
     assert code == 2
-    assert "manifest not found" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "absent.json") in err
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +735,8 @@ def test_eval_reports_missing_files(tmp_path, capsys):
         "--truth", str(tmp_path / "nope.txt"),
     ])
     assert code == 2
-    assert "not found" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "nope.txt") in err
 
 
 # ---------------------------------------------------------------------------

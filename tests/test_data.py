@@ -143,7 +143,7 @@ def test_read_matrix_sniffs_magic_regardless_of_suffix(tmp_path):
 
 
 def test_read_matrix_reports_missing_file(tmp_path):
-    with pytest.raises(ValueError, match="not found"):
+    with pytest.raises(FileNotFoundError, match="nope.mvm"):
         read_matrix(tmp_path / "nope.mvm")
 
 
@@ -170,13 +170,18 @@ def test_read_matrix_rejects_wrong_value_count(tmp_path):
 
 
 @pytest.mark.parametrize("text, problem", [
-    ("2 3\n1 2 3 4\n5 6\n", "line 2: expected 3 values, got 4"),
-    ("2 3\n1 2 3\n4 5 6\n7 8 9\n", "line 4: unexpected content after 2 rows"),
+    (b"2 3\n1 2 3 4\n5 6\n", "line 2: expected 3 values, got 4"),
+    (b"2 3\n1 2 3\n4 5 6\n7 8 9\n", "line 4: unexpected content after 2 rows"),
+    (b"2 3\n1 2 3\n4 abc 6\n", "line 3: could not convert string to float: 'abc'"),
+    (b"2 3\n1 nan 3\n4 5 6\n", "line 2: non-finite entry"),
+    (b"2 3\n1 2 3\n4 5 \xff\n", "line 3: not UTF-8 text (invalid start byte)"),
+    (b"-1 0\n", "line 1: header must be 'rows cols', both >= 1, got '-1 0'"),
+    (b"2 0\n\n\n", "line 1: header must be 'rows cols', both >= 1, got '2 0'"),
 ])
 def test_read_matrix_rejects_ragged_rows_and_extra_lines(tmp_path, text, problem):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {problem}$"):
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {re.escape(problem)}$"):
         read_matrix(path)
 
 
@@ -195,9 +200,16 @@ def test_labels_round_trip(tmp_path):
 
 def test_read_labels_rejects_non_integers(tmp_path):
     path = tmp_path / "truth.txt"
-    path.write_text("0\nbanana\n")
-    with pytest.raises(ValueError, match="integers"):
-        read_labels(path)
+    for text, problem in [
+        (b"0\nbanana\n", "line 2: labels must be integers "
+                           "(invalid literal for int() with base 10: 'banana')"),
+        (b"0\n1 1\n2.5\n", "line 3: labels must be integers "
+                              "(invalid literal for int() with base 10: '2.5')"),
+        (b"0\n\xe9\n", "line 2: not UTF-8 text (invalid continuation byte)"),
+    ]:
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {re.escape(problem)}$"):
+            read_labels(path)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +272,7 @@ def test_manifest_load_rejects_unknown_normalization(tmp_path):
 
 
 def test_manifest_load_reports_missing_file(tmp_path):
-    with pytest.raises(ValueError, match="manifest not found"):
+    with pytest.raises(FileNotFoundError, match="absent.json"):
         Manifest.load(tmp_path / "absent.json")
 
 
@@ -310,7 +322,7 @@ def test_load_names_view_with_missing_file(tmp_path):
     ds = generate_synthetic(n=30, k=2, view_dims=[4, 5], seed=31)
     manifest_path = save_dataset(ds, tmp_path / "out")
     (tmp_path / "out" / "view1.mvm").unlink()
-    with pytest.raises(ValueError, match=r"view 1 \(view1\.mvm\): file not found"):
+    with pytest.raises(ValueError, match=r"view 1 \(view1\.mvm\): \[Errno 2\] .*view1\.mvm"):
         load_dataset(manifest_path)
 
 

@@ -170,13 +170,18 @@ def test_alpha_gives_zero_loss_views_all_weight():
     assert np.allclose(update_alpha([0.0, 0.0, 5.0]), [0.5, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("nviews", [2, 3])
+def test_alpha_is_uniform_when_every_view_reconstructs_exactly(nviews):
+    # every alpha scores 0 then, so the uniform one is a minimizer
+    assert np.array_equal(update_alpha(np.zeros(nviews)), np.full(nviews, 1.0 / nviews))
+
+
 def test_alpha_rejects_bad_losses():
     with pytest.raises(ValueError):
         update_alpha([])
     with pytest.raises(ValueError):
         update_alpha([1.0, -0.5])
-    with pytest.raises(ValueError):
-        update_alpha([0.0, 0.0])
+    assert np.array_equal(update_alpha([0.0, 0.0]), [0.5, 0.5])
     with pytest.raises(ValueError):
         update_alpha([1.0, np.inf])
     with pytest.raises(ValueError):

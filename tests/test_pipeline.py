@@ -264,6 +264,31 @@ def test_fit_computes_each_view_loss_once_per_iteration(monkeypatch):
     assert len(calls) == ds.num_views * res.iterations_run
 
 
+def test_fit_takes_uniform_alpha_once_every_view_reconstructs_exactly(monkeypatch):
+    # the true losses in iteration 0, zero losses from iteration 1 on
+    ds = _small_dataset()
+    calls = []
+
+    def vanishing(vf):
+        calls.append(vf)
+        return reconstruction_loss(vf) if len(calls) <= ds.num_views else 0.0
+
+    monkeypatch.setattr(pipeline_module, "reconstruction_loss", vanishing)
+    res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=4))
+    uniform = np.full(ds.num_views, 1.0 / ds.num_views)
+    assert not np.array_equal(res.history[0].alpha, uniform)
+    assert res.iterations_run > 1
+    for rec in res.history[1:]:
+        assert np.array_equal(rec.alpha, uniform)
+
+
+def test_datasets_compare_and_hash_by_identity():
+    a, b = _small_dataset(), _small_dataset()  # equal contents, two objects
+    assert a == a and a != b
+    memo = {a: "a", b: "b"}
+    assert (memo[a], memo[b]) == ("a", "b")
+
+
 def test_benchmark_fit_takes_an_svd_only_for_the_left_factors(pinv_calls, benchmark_dataset):
     # Every right-hand refit goes through a small Gram: one SVD per view and
     # iteration remains, on the tall d x 12 factor z_1 left of basis 2.

@@ -11,7 +11,8 @@ any of these outputs:
 - `run --manifest` on the benchmark dataset saved as text: its stdout (with
   the output directory masked), `results.tsv`, `objective_trace.txt` and
   `embedding.mvm`;
-- `grid.tsv` of the grid-deep benchmark argv at `--seed` 0 and 1.
+- `grid.tsv` of the grid-deep benchmark argv at `--seed` 0 and 1, and at
+  `--seed` 0 with `--threads 1`, the serial path.
 
 A fit takes a few seconds; the whole script under a minute on 2 cores.
 Digests hold only at a fixed BLAS thread count (see README).
@@ -51,8 +52,14 @@ FITS = [
 GRID_ARGS = [
     "--lambdas", ",".join(str(v) for v in (2.0**-12, 2.0**-4, 1.0, 2.0**5)),
     "--schemes", "p2,p3", "--p2-l1", "4", "--p3-l1", "8", "--p3-l2", "4",
-    "--repeats", "2", "--threads", "2", "--max-iter", "30",
+    "--repeats", "2", "--max-iter", "30",
 ]
+# (name, --seed, --threads) of each grid run: the benchmark workload's two, then a serial one.
+GRID_RUNS = (
+    ("grid-deep-seed0", 0, 2),
+    ("grid-deep-seed1", 1, 2),
+    ("grid-deep-seed0-threads1", 0, 1),
+)
 
 
 # The fit whose labels `eval` scores.
@@ -103,14 +110,14 @@ def run_lines():
             yield f"benchmark-run {fname} {sha((out / fname).read_bytes())}"
 
 
-def grid_lines(seeds=(0, 1)):
+def grid_lines():
     with tempfile.TemporaryDirectory() as tmp:
         manifest = save_dataset(generate_synthetic(**NUISANCE), Path(tmp) / "data", fmt="text")
-        for seed in seeds:
-            out = Path(tmp) / f"grid{seed}"
+        for name, seed, threads in GRID_RUNS:
+            out = Path(tmp) / name
             cli_stdout(["grid", "--manifest", str(manifest), "--out", str(out),
-                        *GRID_ARGS, "--seed", str(seed)])
-            yield f"grid-deep-seed{seed} grid.tsv {sha((out / 'grid.tsv').read_bytes())}"
+                        *GRID_ARGS, "--threads", str(threads), "--seed", str(seed)])
+            yield f"{name} grid.tsv {sha((out / 'grid.tsv').read_bytes())}"
 
 
 if __name__ == "__main__":
