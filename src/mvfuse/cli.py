@@ -38,6 +38,10 @@ def lambda_grid() -> list[float]:
 
 def layer_schemes(k, kinds=SCHEME_KINDS, p2_l1=P2_L1_MULTIPLIERS,
                   p3_l1=P3_L1_MULTIPLIERS, p3_l2=P3_L2_MULTIPLIERS):
+    """The layer widths of every scheme of the given kinds, each of SCHEME_KINDS."""
+    for kind in kinds:
+        if kind not in SCHEME_KINDS:
+            raise ValueError(f"scheme kinds must be {' or '.join(SCHEME_KINDS)}, got {kind!r}")
     schemes = []
     if "p2" in kinds:
         schemes += [[c * k, k] for c in p2_l1]
@@ -220,12 +224,8 @@ GRID_COLUMNS = (
 
 def cmd_grid(args) -> int:
     dataset = _load_data(args)
-    kinds = _parse_list(args.schemes, "--schemes", str)
-    for kind in kinds:
-        if kind not in SCHEME_KINDS:
-            raise ValueError(f"--schemes entries must be {' or '.join(SCHEME_KINDS)}, got {kind!r}")
     schemes = layer_schemes(
-        dataset.k, kinds,
+        dataset.k, _parse_list(args.schemes, "--schemes", str),
         p2_l1=_parse_list(args.p2_l1, "--p2-l1"),
         p3_l1=_parse_list(args.p3_l1, "--p3-l1"),
         p3_l2=_parse_list(args.p3_l2, "--p3-l2"),
@@ -295,7 +295,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scores = score_labels(read_labels(args.pred), read_labels(args.truth))
+    pred, truth = read_labels(args.pred), read_labels(args.truth)
+    if pred.size != truth.size:
+        raise ValueError(
+            f"--pred {args.pred} has {pred.size} labels, --truth {args.truth} has {truth.size}"
+        )
+    scores = score_labels(pred, truth)
     for key in SCORE_KEYS:
         print(f"{key.upper()} {_fmt(scores[key])}")
     return 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -222,13 +223,18 @@ def write_labels(path, labels) -> None:
 
 
 def read_labels(path) -> np.ndarray:
+    """One non-negative integer label per non-blank line; a fault names its line."""
     path = Path(path)
     labels = []
     for lineno, line in enumerate(_text_lines(path, path.read_bytes()), start=1):
-        try:
-            labels += [int(t) for t in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {lineno}: labels must be integers ({exc})") from None
+        token = line.strip()
+        if not token:
+            continue
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(
+                f"{path}, line {lineno}: expected one non-negative integer label, got {token!r}"
+            )
+        labels.append(int(token))
     if not labels:
         raise ValueError(f"{path}: empty label file")
     return np.array(labels, dtype=np.int64)
@@ -283,27 +289,41 @@ def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION)
     ).validate()
 
 
+@contextmanager
+def _naming(prefix: str):
+    """Re-raise an OSError or ValueError of the block as a ValueError led by prefix."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
+
+
 def load_dataset(manifest_path, normalization: str | None = None) -> MultiViewDataset:
     """Load the dataset a manifest describes and normalize it with normalize_dataset.
 
     The manifest's scheme applies unless `normalization` overrides it. Every
     view is checked against its declared dimension and the shared sample
-    count; any failure to read a view names it.
+    count, and the truth file against the sample count and k; any failure to
+    read or check a view or the truth file names it.
     """
     manifest = Manifest.load(manifest_path)
     base = Path(manifest_path).parent
+    n = manifest.sample_count
     views = []
     for i, entry in enumerate(manifest.views):
-        try:
+        with _naming(f"view {i} ({entry['path']})"):
             x = read_matrix(base / entry["path"])
-            if x.shape != (entry["dim"], manifest.sample_count):
-                raise ValueError(
-                    f"expected {entry['dim']}x{manifest.sample_count}, got {x.shape[0]}x{x.shape[1]}"
-                )
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"view {i} ({entry['path']}): {exc}") from exc
+            if x.shape != (entry["dim"], n):
+                raise ValueError(f"expected {entry['dim']}x{n}, got {x.shape[0]}x{x.shape[1]}")
         views.append(x)
-    truth = None if manifest.truth is None else read_labels(base / manifest.truth)
+    truth = None
+    if manifest.truth is not None:
+        with _naming(f"truth ({manifest.truth})"):
+            truth = read_labels(base / manifest.truth)
+            if truth.size != n:
+                raise ValueError(f"expected {n} labels, got {truth.size}")
+            if truth.max() >= manifest.k:
+                raise ValueError(f"labels must lie in [0, {manifest.k}), got {truth.max()}")
     raw = MultiViewDataset(views=views, truth=truth, k=manifest.k, name=manifest.name)
     return normalize_dataset(raw, normalization or manifest.normalization)
 

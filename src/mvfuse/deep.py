@@ -1,9 +1,12 @@
 """Per-view layered factorization x ~ z_1 ... z_m h_m and its update rules.
 
 Layer widths shrink down to the cluster count k, so the last representation
-h_m is a k x n soft partition of the view. Fine-tuning alternates, per layer,
-the exact least-squares basis refit with multiplicative representation steps;
-the last layer additionally feels the consensus-alignment pull.
+h_m is a k x n soft partition of the view. Depth acts through pretraining
+alone: greedy layer-wise fits produce h_m. Refitting every basis of the chain
+in turn would leave z_1 ... z_m equal to x pinv(h_m), and nothing else reads
+the inner representations, so fine-tuning holds that product as one basis
+phi. Each sweep alternates its exact least-squares refit with a
+multiplicative step on h_m that also feels the consensus-alignment pull.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvfuse.linalg import NumericalError, as_matrix, gram_inverse, pinv
-from mvfuse.seminmf import fit_layer, gram_refit, multiplicative_step
+from mvfuse.linalg import NumericalError, as_matrix
+# Unused here; kept because the benchmark's tracer wraps this module attribute.
+from mvfuse.linalg import pinv  # noqa: F401
+from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis
 
 
 @dataclass
@@ -21,10 +26,6 @@ class ViewFactorization:
     x: np.ndarray             # d x n view matrix
     z: list = field(default_factory=list)  # bases, z[i] maps layer i+1 up to layer i
     h: list = field(default_factory=list)  # representations, all entrywise >= 0
-
-    @property
-    def depth(self) -> int:
-        return len(self.z)
 
 
 def validate_layer_dims(dims, k: int, feature_dims, n: int) -> list[int]:
@@ -72,62 +73,28 @@ def _product(zs) -> np.ndarray:
     return out
 
 
-# update_basis's default: compute gram_refit(x, h_m) afresh.
-_FRESH = object()
+def update_basis(vf: ViewFactorization) -> np.ndarray:
+    """Fine-tuning's one basis phi = x pinv(h_m), the exact least-squares refit."""
+    return refit_basis(vf.x, vf.h[-1])
 
 
-def update_basis(vf: ViewFactorization, i: int, x_pinv_hm=_FRESH) -> np.ndarray:
-    """Least-squares refit of basis i against the reconstruction chain.
-
-    Minimizes ||x - L z_i C|| over z_i alone, with L = z_1..z_{i-1} and the
-    chain C = A h_m, A = z_{i+1}..z_m, so the full reconstruction loss never
-    increases. The exact minimizer is pinv(L) x pinv(C). At the last layer
-    C = h_m and x pinv(h_m) is gram_refit(x, h_m), through the k x k Gram.
-    Above it C is l x n of rank k, so its own Gram is singular; instead, when
-    A has full column rank and h_m full row rank, x pinv(C) = x pinv(h_m)
-    pinv(A) = gram_refit(x, h_m) (A^T A)^-1 A^T, two small Grams. When either
-    fails gram_inverse's check (a zero row that the gauge fix leaves in h_m,
-    or a rank-deficient A), C gets its SVD pinv. The tall L, of rank k in
-    fine-tuning, always does. `x_pinv_hm` is gram_refit(vf.x, vf.h[-1]),
-    None included, when the caller already holds it for the current h_m.
-    """
-    if not 0 <= i < vf.depth:
-        raise ValueError(f"layer index {i} out of range for depth {vf.depth}")
-    hm = vf.h[-1]
-    if x_pinv_hm is _FRESH:
-        x_pinv_hm = gram_refit(vf.x, hm)
-    if i == vf.depth - 1:
-        out = vf.x @ pinv(hm) if x_pinv_hm is None else x_pinv_hm
-    else:
-        a = _product(vf.z[i + 1 :])
-        inv_a = None if x_pinv_hm is None else gram_inverse(a.T)
-        out = vf.x @ pinv(a @ hm) if inv_a is None else x_pinv_hm @ inv_a @ a.T
-    if i == 0:
-        return out
-    return pinv(_product(vf.z[:i])) @ out
-
-
-def update_hidden(vf: ViewFactorization, i: int) -> np.ndarray:
-    """Multiplicative step on an intermediate representation h_i (i < m-1)."""
-    if not 0 <= i < vf.depth - 1:
-        raise ValueError("update_hidden applies to intermediate layers only")
-    phi = _product(vf.z[: i + 1])
-    return multiplicative_step(vf.x, phi, vf.h[i])
+def update_hidden(vf: ViewFactorization, weight=1.0, pull=None) -> np.ndarray:
+    """Multiplicative step on h_m against the basis product; see multiplicative_step."""
+    return multiplicative_step(vf.x, _product(vf.z), vf.h[-1], weight=weight, pull=pull)
 
 
 def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam: float):
     """Multiplicative step on the last-layer partition h_m.
 
     Descends alpha_v^2 ||x - phi h_m||^2 - lam beta_v tr(consensus h_m^T rotation):
-    the reconstruction pull and the consensus-alignment pull share one rule.
-    With lam == 0 this is the plain representation step applied at the last layer.
+    the reconstruction pull and the consensus-alignment pull share one rule,
+    update_hidden's, with the weight 2 alpha_v^2 and the pull
+    lam beta_v rotation @ consensus. With lam == 0 the pull vanishes.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    phi = _product(vf.z)
-    return multiplicative_step(
-        vf.x, phi, vf.h[-1], weight=2.0 * alpha_v * alpha_v,
-        pull=lam * beta_v * (rotation @ consensus),
+    return update_hidden(
+        vf, weight=2.0 * alpha_v * alpha_v, pull=lam * beta_v * (rotation @ consensus)
     )
 
 
@@ -144,15 +111,14 @@ def fix_partition_gauge(vf: ViewFactorization) -> None:
     """Rescale each row of h_m to unit norm.
 
     The factorization is invariant to any positive diagonal moved between
-    the last basis and the partition, but the alignment reward is not: left
+    the basis and the partition, but the alignment reward is not: left
     alone it inflates h_m without bound while the basis refit absorbs the
     growth. Pinning the row scales removes the degenerate orbit, keeps
     partitions comparable across views, and bounds the alignment trace.
-    The factor is deliberately not folded into z_m: the next basis refit
-    re-derives z_m from scratch, so folding would only feed the scale into
-    the neutral split between adjacent bases, where it compounds. Zero rows
-    are left untouched; an entirely zero or non-finite partition is
-    unrecoverable because multiplicative steps lock zeros in place.
+    The factor is not folded into the basis, which the next refit
+    re-derives from h_m alone. Zero rows are left untouched; an entirely
+    zero or non-finite partition is unrecoverable because multiplicative
+    steps lock zeros in place.
     """
     hm = vf.h[-1]
     if not np.all(np.isfinite(hm)):
@@ -165,19 +131,13 @@ def fix_partition_gauge(vf: ViewFactorization) -> None:
 
 
 def sweep_view(vf, consensus, rotation, alpha_v, beta_v, lam):
-    """One fine-tuning pass over a view: per layer the basis refit, then the
-    representation step; the partition step runs last, followed by the gauge
-    fix that pins the partition scale. Factors are updated in place.
+    """One fine-tuning pass over a view, in place: the basis refit, the
+    partition step, then the gauge fix that pins the partition scale.
 
-    h_m holds still until the partition step, so the sweep computes
-    gram_refit(x, h_m) once and hands it, None included, to every refit.
+    The view leaves it holding x, the one basis phi = x pinv(h_m) and h_m:
+    a deeper chain from pretraining enters only through its h_m.
     """
-    m = vf.depth
-    x_pinv_hm = gram_refit(vf.x, vf.h[-1])
-    for i in range(m):
-        vf.z[i] = update_basis(vf, i, x_pinv_hm)
-        if i < m - 1:
-            vf.h[i] = update_hidden(vf, i)
-    vf.h[-1] = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
+    vf.z = [update_basis(vf)]
+    vf.h = [update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)]
     fix_partition_gauge(vf)
     return vf

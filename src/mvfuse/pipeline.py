@@ -1,9 +1,11 @@
-"""End-to-end fit: pretrain, alternate the seven update blocks, cluster.
+"""End-to-end fit: pretrain, alternate the six update blocks, cluster.
 
 From a start that is pretraining alone, one outer iteration runs, in order:
-the consensus step, a full fine-tuning sweep of every view (basis refits,
-representation steps, partition step), the per-view rotation steps, the
-alpha step, and the beta step; iteration 0's consensus step is the first.
+the consensus step, a fine-tuning sweep of every view (basis refit,
+partition step), the per-view rotation steps, the alpha step, and the beta
+step; iteration 0's consensus step is the first. Layer depth acts through
+pretraining: its h_m starts the fit, and each view's first sweep replaces
+the pretrained chain of bases by the one basis x pinv(h_m).
 The joint objective is recorded after the beta step; from iteration 1 on,
 the loop stops when its relative change falls below tol (check_convergence),
 else after max_iter iterations. score_labels is the one scorer of labels
@@ -93,7 +95,7 @@ class IterationRecord:
     w_residuals: np.ndarray        # per-view ||w w^T - I||_F
     alpha_residual: float          # |sum(alpha) - 1|
     beta_residual: float           # |  ||beta|| - 1|
-    min_h_entry: float             # min over every layer of every view
+    min_h_entry: float             # min over every view's h_m, all that fine-tuning holds
     consensus_degenerate: bool
     rotation_degenerate: np.ndarray
 

@@ -46,16 +46,11 @@ def multiplicative_step(x, basis, h, weight=1.0, pull=None):
     return h * np.sqrt(num / (den + EPS))
 
 
-def gram_refit(x, h) -> np.ndarray | None:
-    """x @ pinv(h) as (x @ h.T) @ inv(h @ h.T), or None when gram_inverse declines h."""
-    inv = gram_inverse(h)
-    return None if inv is None else (x @ h.T) @ inv
-
-
 def refit_basis(x, h) -> np.ndarray:
-    """The least-squares basis x @ pinv(h): gram_refit, or the SVD pinv when it declines."""
-    out = gram_refit(x, h)
-    return x @ pinv(h) if out is None else out
+    """The least-squares basis x @ pinv(h): (x @ h.T) @ inv(h @ h.T), or the
+    SVD pinv when gram_inverse declines h."""
+    inv = gram_inverse(h)
+    return x @ pinv(h) if inv is None else (x @ h.T) @ inv
 
 
 def init_layer(x, width: int, seed: int) -> LayerFactors:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mvfuse.deep as deep_module
 import mvfuse.seminmf as seminmf_module
 from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.pipeline import HyperParams, fit
@@ -48,12 +47,12 @@ def nuisance_dataset():
 
 @pytest.fixture
 def pinv_calls(monkeypatch):
-    """Shapes of every SVD pinv that the basis refits in deep and seminmf take."""
+    """Shapes of every SVD pinv that the basis refits (seminmf.refit_basis) take."""
     calls = []
-    for module in (deep_module, seminmf_module):
-        def recording(a, original=module.pinv):
-            calls.append(a.shape)
-            return original(a)
 
-        monkeypatch.setattr(module, "pinv", recording)
+    def recording(a, original=seminmf_module.pinv):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(seminmf_module, "pinv", recording)
     return calls

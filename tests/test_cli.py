@@ -62,6 +62,8 @@ def test_layer_schemes_cover_two_and_three_layer_families():
     assert [24, 12, 3] in schemes and [36, 18, 3] in schemes
     assert len(schemes) == 3 + 9
     assert layer_schemes(3, kinds=("p2",)) == [[12, 3], [15, 3], [18, 3]]
+    with pytest.raises(ValueError, match=r"^scheme kinds must be p2 or p3, got 'p4'$"):
+        layer_schemes(3, kinds=("p4",))
 
 
 def test_parse_synthetic_spec():
@@ -737,6 +739,19 @@ def test_eval_reports_missing_files(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path / "nope.txt") in err
+
+
+def test_eval_names_the_file_and_line_of_a_label_fault(tmp_path, capsys):
+    pred, truth = tmp_path / "pred.txt", tmp_path / "truth.txt"
+    truth.write_text("0\n1\n")
+    for text, problem in [
+        ("0\n-1\n", f"{pred}, line 2: expected one non-negative integer label, got '-1'"),
+        ("0 1\n", f"{pred}, line 1: expected one non-negative integer label, got '0 1'"),
+        ("0\n1\n1\n", f"--pred {pred} has 3 labels, --truth {truth} has 2"),
+    ]:
+        pred.write_text(text)
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,11 @@ def test_labels_round_trip(tmp_path):
 def test_read_labels_rejects_non_integers(tmp_path):
     path = tmp_path / "truth.txt"
     for text, problem in [
-        (b"0\nbanana\n", "line 2: labels must be integers "
-                           "(invalid literal for int() with base 10: 'banana')"),
-        (b"0\n1 1\n2.5\n", "line 3: labels must be integers "
-                              "(invalid literal for int() with base 10: '2.5')"),
+        (b"0\nbanana\n", "line 2: expected one non-negative integer label, got 'banana'"),
+        (b"0\n1 1\n2.5\n", "line 2: expected one non-negative integer label, got '1 1'"),
+        (b"0\n1\n2.5\n", "line 3: expected one non-negative integer label, got '2.5'"),
+        (b"0\n-1\n", "line 2: expected one non-negative integer label, got '-1'"),
+        (b"1\n\n+1\n", "line 3: expected one non-negative integer label, got '+1'"),
         (b"0\n\xe9\n", "line 2: not UTF-8 text (invalid continuation byte)"),
     ]:
         path.write_bytes(text)
@@ -331,6 +332,18 @@ def test_load_names_view_with_wrong_shape(tmp_path):
     manifest_path = save_dataset(ds, tmp_path / "out")
     write_matrix_binary(tmp_path / "out" / "view0.mvm", np.ones((4, 29)))
     with pytest.raises(ValueError, match=r"view 0 \(view0\.mvm\): expected 4x30, got 4x29"):
+        load_dataset(manifest_path)
+
+
+@pytest.mark.parametrize("labels, problem", [
+    ([0, 1], "expected 30 labels, got 2"),
+    ([0, 1, 2] * 9 + [0, 1, 7], r"labels must lie in \[0, 3\), got 7"),
+], ids=["too few labels", "label out of range"])
+def test_load_names_a_truth_file_that_does_not_fit_the_manifest(tmp_path, labels, problem):
+    ds = generate_synthetic(n=30, k=3, view_dims=[4, 5], seed=38)
+    manifest_path = save_dataset(ds, tmp_path / "out")
+    write_labels(tmp_path / "out" / "truth.txt", labels)
+    with pytest.raises(ValueError, match=rf"^truth \(truth\.txt\): {problem}$"):
         load_dataset(manifest_path)
 
 

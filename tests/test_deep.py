@@ -15,10 +15,8 @@ from mvfuse.deep import (
     update_partition,
     validate_layer_dims,
 )
-from mvfuse.linalg import pinv
 from mvfuse.metrics import accuracy, kmeans
-from mvfuse.pipeline import HyperParams, init_state
-from mvfuse.seminmf import fit_layer, gram_refit, refit_basis
+from mvfuse.seminmf import fit_layer
 
 
 def _random_vf(rng, d=16, dims=(8, 3), n=40):
@@ -129,7 +127,7 @@ def test_pretrain_takes_one_seed_per_layer(seeds):
 def test_update_basis_identity_system():
     n = 5
     vf = ViewFactorization(x=np.eye(n), z=[np.zeros((n, n))], h=[np.eye(n)])
-    assert np.allclose(update_basis(vf, 0), np.eye(n), atol=1e-12)
+    assert np.allclose(update_basis(vf), np.eye(n), atol=1e-12)
 
 
 def test_update_basis_matches_normal_equations_single_layer():
@@ -137,19 +135,8 @@ def test_update_basis_matches_normal_equations_single_layer():
     x = rng.standard_normal((10, 30))
     h = rng.uniform(0.1, 1.0, size=(4, 30))
     vf = ViewFactorization(x=x, z=[np.zeros((10, 4))], h=[h])
-    z = update_basis(vf, 0)
+    z = update_basis(vf)
     z_ne = np.linalg.solve(h @ h.T, h @ x.T).T  # normal equations, full-rank h
-    assert np.linalg.norm(z - z_ne) <= 1e-8
-
-
-def test_update_basis_matches_normal_equations_inner_layer():
-    rng = np.random.default_rng(213)
-    vf = _random_vf(rng, d=12, dims=(6, 3), n=25)
-    z = update_basis(vf, 1)
-    left, right = vf.z[0], vf.h[-1]
-    # (left^T left) z (right right^T) = left^T x right^T, both gram factors full rank
-    tmp = np.linalg.solve(left.T @ left, left.T @ vf.x @ right.T)
-    z_ne = np.linalg.solve((right @ right.T).T, tmp.T).T
     assert np.linalg.norm(z - z_ne) <= 1e-8
 
 
@@ -159,97 +146,21 @@ def test_update_basis_never_increases_reconstruction_loss():
         depth = int(rng.integers(1, 4))
         dims = sorted(rng.choice(np.arange(2, 9), size=depth, replace=False))[::-1]
         vf = _random_vf(rng, d=12, dims=tuple(int(v) for v in dims), n=20)
-        i = int(rng.integers(depth))
         before = reconstruction_loss(vf)
-        vf.z[i] = update_basis(vf, i)
+        vf.z = [update_basis(vf)]  # replaces the whole chain
         assert reconstruction_loss(vf) <= before + 1e-9
 
 
 def test_update_basis_first_order_optimality():
     rng = np.random.default_rng(219)
     vf = _random_vf(rng, d=10, dims=(5, 3), n=22)
-    for i in range(2):
-        vf.z[i] = update_basis(vf, i)
-        base = reconstruction_loss(vf)
-        for _ in range(20):
-            step = rng.standard_normal(vf.z[i].shape)
-            step *= 1e-3 / np.linalg.norm(step)
-            probe = ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h))
-            probe.z = list(vf.z)
-            probe.z[i] = vf.z[i] + step
-            assert reconstruction_loss(probe) >= base - 1e-10
-
-
-def _basis_oracle(vf, i):
-    """pinv(z_1..z_{i-1}) x pinv(z_{i+1}..z_m h_m), the refit's closed form."""
-    chain = vf.h[-1]
-    for z in reversed(vf.z[i + 1 :]):
-        chain = z @ chain
-    out = vf.x @ pinv(chain)
-    if i == 0:
-        return out
-    left = vf.z[0]
-    for z in vf.z[1:i]:
-        left = left @ z
-    return pinv(left) @ out
-
-
-@pytest.mark.parametrize("dims", [(7, 3), (9, 6, 3)])
-def test_update_basis_equals_the_pinv_oracle_through_small_grams(pinv_calls, dims):
-    rng = np.random.default_rng(221)
-    for _ in range(5):
-        vf = _random_vf(rng, d=14, dims=dims, n=35)
-        widths = [14, *dims]
-        for i in range(len(dims)):
-            got = update_basis(vf, i)
-            expect = _basis_oracle(vf, i)
-            assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
-            vf.z[i] = got
-    # only the tall left factors z_1..z_{i-1} take an SVD
-    assert set(pinv_calls) == {(14, widths[i]) for i in range(1, len(dims))}
-
-
-@pytest.mark.parametrize("defect", ["zero partition row", "rank-deficient inner basis"])
-@pytest.mark.parametrize("dims", [(7, 3), (9, 6, 3)])
-def test_update_basis_takes_the_chain_pinv_when_the_split_does_not_hold(pinv_calls, dims, defect):
-    rng = np.random.default_rng(222)
-    vf = _random_vf(rng, d=14, dims=dims, n=35)
-    if defect == "zero partition row":
-        vf.h[-1][1] = 0.0
-    else:
-        vf.z[-1][:, 2] = vf.z[-1][:, 0]  # A = z_{i+1}..z_m loses full column rank
-    got = update_basis(vf, 0)
-    assert pinv_calls == [(dims[0], 35)]  # the l x n chain itself
-    expect = _basis_oracle(vf, 0)
-    assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
-
-
-@pytest.mark.parametrize("zero_row", [False, True])
-@pytest.mark.parametrize("dims", [(3,), (7, 3), (9, 6, 3)])
-def test_last_basis_refit_is_the_single_layer_refit(pinv_calls, dims, zero_row):
-    # the last layer's chain is h_m itself; a zero partition row takes the SVD
-    rng = np.random.default_rng(224)
-    vf = _random_vf(rng, d=14, dims=dims, n=35)
-    if zero_row:
-        vf.h[-1][1] = 0.0
-    got = update_basis(vf, vf.depth - 1)
-    expect = refit_basis(vf.x, vf.h[-1])
-    if vf.depth > 1:
-        left = vf.z[0]
-        for z in vf.z[1:-1]:
-            left = left @ z
-        expect = pinv(left) @ expect
-    assert np.array_equal(got, expect)
-    left_pinv = [(14, dims[-2])] if len(dims) > 1 else []
-    svd_refits = [(3, 35)] * 2 if zero_row else []  # one in update_basis, one in refit_basis
-    assert sorted(pinv_calls) == sorted(svd_refits + left_pinv)
-
-
-def test_update_basis_rejects_bad_layer():
-    rng = np.random.default_rng(223)
-    vf = _random_vf(rng)
-    with pytest.raises(ValueError):
-        update_basis(vf, 2)
+    vf.z = [update_basis(vf)]
+    base = reconstruction_loss(vf)
+    for _ in range(20):
+        step = rng.standard_normal(vf.z[0].shape)
+        step *= 1e-3 / np.linalg.norm(step)
+        probe = ViewFactorization(x=vf.x, z=[vf.z[0] + step], h=list(vf.h))
+        assert reconstruction_loss(probe) >= base - 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -259,30 +170,23 @@ def test_update_basis_rejects_bad_layer():
 def test_update_hidden_fixed_point_when_exact():
     rng = np.random.default_rng(227)
     vf = _random_vf(rng, d=14, dims=(6, 3), n=30)
-    vf.x = vf.z[0] @ vf.h[0]  # layer-0 subproblem is exactly solved
-    h_new = update_hidden(vf, 0)
-    assert np.allclose(h_new, vf.h[0], rtol=1e-9, atol=1e-12)
+    vf.x = _product(vf.z) @ vf.h[-1]  # the h_m subproblem is exactly solved
+    h_new = update_hidden(vf)
+    assert np.allclose(h_new, vf.h[-1], rtol=1e-9, atol=1e-12)
 
 
 def test_update_hidden_monotone_and_nonnegative():
     rng = np.random.default_rng(229)
     for _ in range(20):
         vf = _random_vf(rng, d=12, dims=(5, 2), n=25)
-        phi = vf.z[0]
-        before = float(np.sum((vf.x - phi @ vf.h[0]) ** 2))
+        phi = _product(vf.z)
+        before = float(np.sum((vf.x - phi @ vf.h[-1]) ** 2))
         for _ in range(50):
-            vf.h[0] = update_hidden(vf, 0)
-            after = float(np.sum((vf.x - phi @ vf.h[0]) ** 2))
+            vf.h[-1] = update_hidden(vf)
+            after = float(np.sum((vf.x - phi @ vf.h[-1]) ** 2))
             assert after <= before + 1e-8
-            assert vf.h[0].min() >= 0
+            assert vf.h[-1].min() >= 0
             before = after
-
-
-def test_update_hidden_rejects_last_layer():
-    rng = np.random.default_rng(231)
-    vf = _random_vf(rng)
-    with pytest.raises(ValueError):
-        update_hidden(vf, 1)
 
 
 def test_update_partition_reduces_to_plain_step_without_alignment():
@@ -437,9 +341,8 @@ def test_sweep_without_alignment_is_a_deep_seminmf_sweep():
     consensus = _row_orthonormal(rng, 3, 30)
     zs, hs = _manual_deep_sweep(vf.x, vf.z, vf.h)
     sweep_view(vf, consensus, np.eye(3), alpha_v=1.0, beta_v=0.4, lam=0.0)
-    for got, want in zip(vf.z, zs):
-        assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
-    for got, want in zip(vf.h, hs):
+    # the view holds the product of the oracle's bases as its one basis
+    for got, want in zip(vf.z + vf.h, [_product(zs), hs[-1]], strict=True):
         assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
 
 
@@ -494,33 +397,9 @@ def test_sweep_leaves_partition_rows_unit():
 
 
 @pytest.mark.parametrize("zero_row", [False, True])
-@pytest.mark.parametrize("dims", [(3,), (7, 3), (9, 6, 3)])
-def test_sweep_matches_basis_refits_that_each_recompute_the_partition_terms(dims, zero_row):
-    # sweep_view computes gram_refit(x, h_m) once; each refit on its own
-    # recomputes it. A zero partition row takes the SVD fallback.
-    rng = np.random.default_rng(273)
-    for _ in range(3):
-        vf = _random_vf(rng, d=14, dims=dims, n=30)
-        if zero_row:
-            vf.h[-1][1] = 0.0
-        consensus = _row_orthonormal(rng, 3, 30)
-        rotation = _row_orthonormal(rng, 3, 3)
-        alone = ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h))
-        for i in range(alone.depth):
-            alone.z[i] = update_basis(alone, i)
-            if i < alone.depth - 1:
-                alone.h[i] = update_hidden(alone, i)
-        alone.h[-1] = update_partition(alone, consensus, rotation, 0.6, 0.5, 0.8)
-        fix_partition_gauge(alone)
-        sweep_view(vf, consensus, rotation, 0.6, 0.5, 0.8)
-        for got, expect in zip(vf.z + vf.h, alone.z + alone.h):
-            assert np.array_equal(got, expect)
-
-
-@pytest.mark.parametrize("zero_row", [False, True])
 @pytest.mark.parametrize("dims", [(7, 3), (9, 6, 3)])
 def test_sweep_bases_and_partition_never_read_the_inner_representations(dims, zero_row):
-    # Only update_hidden reads an inner h_i, and what it writes nothing else reads.
+    # The sweep reads no inner h_i.
     rng = np.random.default_rng(275)
     for _ in range(3):
         vf = _random_vf(rng, d=14, dims=dims, n=30)
@@ -536,14 +415,20 @@ def test_sweep_bases_and_partition_never_read_the_inner_representations(dims, ze
             assert np.array_equal(got, expect)
 
 
-@pytest.mark.parametrize("data, dims", [("benchmark_dataset", [12, 3]),
-                                        ("nuisance_dataset", [24, 12, 3])])
-def test_sweep_basis_chain_is_the_single_layer_refit(request, data, dims):
-    # Refitting every basis in turn leaves z_1 ... z_m equal to x pinv(h_m).
-    views, _ = init_state(request.getfixturevalue(data), HyperParams(lam=1.0, dims=dims))
-    for vf in views:
-        x_pinv_hm = gram_refit(vf.x, vf.h[-1])
-        for i in range(vf.depth):
-            vf.z[i] = update_basis(vf, i, x_pinv_hm)
-        gap = np.linalg.norm(_product(vf.z) - x_pinv_hm)
-        assert gap <= 1e-12 * np.linalg.norm(x_pinv_hm)
+@pytest.mark.parametrize("zero_row", [False, True])
+@pytest.mark.parametrize("dims", [(7, 3), (9, 6, 3)])
+def test_deep_view_sweeps_like_its_one_layer_view(dims, zero_row):
+    # Depth acts through h_m alone: a deep view and the one-layer view of its
+    # chain and h_m sweep to the same basis and partition, bit for bit.
+    rng = np.random.default_rng(277)
+    for _ in range(3):
+        vf = _random_vf(rng, d=14, dims=dims, n=30)
+        if zero_row:
+            vf.h[-1][1] = 0.0
+        one = ViewFactorization(x=vf.x, z=[_product(vf.z)], h=[vf.h[-1]])
+        consensus = _row_orthonormal(rng, 3, 30)
+        rotation = _row_orthonormal(rng, 3, 3)
+        for view in (vf, one):
+            sweep_view(view, consensus, rotation, 0.6, 0.5, 0.8)
+        for got, expect in zip(vf.z + vf.h, one.z + one.h, strict=True):
+            assert np.array_equal(got, expect)

@@ -84,9 +84,14 @@ def cli_stdout(argv) -> str:
     return stdout.getvalue()
 
 
-def fit_lines(name, spec, dims, lam, max_iter, seed):
+def run_fit(spec, dims, lam, max_iter, seed):
+    """The dataset of one FITS entry and its fit."""
     ds = normalize_dataset(generate_synthetic(**spec), "l2-sample")
-    res = fit(ds, HyperParams(lam=lam, dims=dims, max_iter=max_iter, seed=seed))
+    return ds, fit(ds, HyperParams(lam=lam, dims=dims, max_iter=max_iter, seed=seed))
+
+
+def fit_lines(name, *config):
+    ds, res = run_fit(*config)
     yield f"{name} h {sha(res.h.tobytes())}"
     yield f"{name} labels {sha(res.labels.tobytes())}"
     yield f"{name} objectives {sha(res.objectives.tobytes())}"
