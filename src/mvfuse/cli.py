@@ -22,11 +22,13 @@ from mvfuse.data import (
     save_dataset,
     write_matrix_binary,
 )
+from mvfuse.deep import validate_layer_dims
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import SCORE_KEYS, HyperParams, fit, score_labels, shared_pretraining
 
 LAMBDA_EXPONENTS = range(-12, 6)          # 2^-12 .. 2^5, 18 values
 SCHEME_KINDS = ("p2", "p3")               # two- and three-layer scheme families
+SCHEME_FLAGS = {"p2": "--p2-l1", "p3": "--p3-l1/--p3-l2"}  # the flags each family reads
 P2_L1_MULTIPLIERS = (4, 5, 6)             # two-layer schemes [c*k, k]
 P3_L1_MULTIPLIERS = (8, 10, 12)           # three-layer schemes [c1*k, c2*k, k]
 P3_L2_MULTIPLIERS = (4, 5, 6)
@@ -38,15 +40,28 @@ def lambda_grid() -> list[float]:
 
 def layer_schemes(k, kinds=SCHEME_KINDS, p2_l1=P2_L1_MULTIPLIERS,
                   p3_l1=P3_L1_MULTIPLIERS, p3_l2=P3_L2_MULTIPLIERS):
-    """The layer widths of every scheme of the given kinds, each of SCHEME_KINDS."""
+    """The layer widths of every scheme of the given kinds, each of SCHEME_KINDS.
+
+    A scheme that no data with k clusters admits is an error naming the flags
+    of its family; whether a scheme fits the data is left to its fits.
+    """
     for kind in kinds:
         if kind not in SCHEME_KINDS:
             raise ValueError(f"scheme kinds must be {' or '.join(SCHEME_KINDS)}, got {kind!r}")
+    families = {
+        "p2": [[c * k, k] for c in p2_l1],
+        "p3": [[c1 * k, c2 * k, k] for c1 in p3_l1 for c2 in p3_l2],
+    }
     schemes = []
-    if "p2" in kinds:
-        schemes += [[c * k, k] for c in p2_l1]
-    if "p3" in kinds:
-        schemes += [[c1 * k, c2 * k, k] for c1 in p3_l1 for c2 in p3_l2]
+    for kind in SCHEME_KINDS:
+        if kind not in kinds:
+            continue
+        for dims in families[kind]:
+            try:
+                validate_layer_dims(dims, k)
+            except ValueError as exc:
+                raise ValueError(f"{SCHEME_FLAGS[kind]}: {exc}") from None
+        schemes += families[kind]
     return schemes
 
 
@@ -94,6 +109,8 @@ def _parse_synthetic_spec(spec: str) -> dict:
         if key not in SYNTHETIC_SPEC_KEYS:
             raise ValueError(f"unknown synthetic spec key {key!r}")
         keyword, parse = SYNTHETIC_SPEC_KEYS[key]
+        if keyword in kwargs:
+            raise ValueError(f"synthetic spec key {key!r} given twice")
         try:
             kwargs[keyword] = parse(value)
         except ValueError as exc:

@@ -391,8 +391,10 @@ def generate_synthetic(
         raise ValueError(f"need k >= 2, got {k}")
     if n < 5 * k:
         raise ValueError(f"need n >= 5k = {5 * k}, got {n}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not np.isfinite(nuisance_scale):
+        raise ValueError(f"nuisance_scale must be finite, got {nuisance_scale}")
     if nuisance_dim < 0:
         raise ValueError("nuisance_dim must be >= 0")
     if seed < 0:

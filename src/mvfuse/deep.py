@@ -1,17 +1,18 @@
-"""Per-view layered factorization x ~ z_1 ... z_m h_m and its update rules.
+"""Per-view factorization x ~ phi h_m and its update rules.
 
-Layer widths shrink down to the cluster count k, so the last representation
-h_m is a k x n soft partition of the view. Depth acts through pretraining
-alone: greedy layer-wise fits produce h_m. Refitting every basis of the chain
-in turn would leave z_1 ... z_m equal to x pinv(h_m), and nothing else reads
-the inner representations, so fine-tuning holds that product as one basis
-phi. Each sweep alternates its exact least-squares refit with a
-multiplicative step on h_m that also feels the consensus-alignment pull.
+Greedy layer-wise pretraining fits x ~ z_1 ... z_m h_m with layer widths
+shrinking down to the cluster count k, so the last representation h_m is a
+k x n soft partition of the view. Depth acts through pretraining alone:
+refitting every basis of the chain in turn would leave z_1 ... z_m equal to
+x pinv(h_m), and nothing reads the inner representations, so a view holds
+the chain folded into one basis phi = z_1 ... z_m, and h_m. Each fine-tuning
+sweep alternates phi's exact least-squares refit with a multiplicative step
+on h_m that also feels the consensus-alignment pull.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +24,17 @@ from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis
 
 @dataclass
 class ViewFactorization:
+    """One view x ~ basis @ h. Updates replace the fields and never write
+    into an array, so views may share arrays."""
+
     x: np.ndarray             # d x n view matrix
-    z: list = field(default_factory=list)  # bases, z[i] maps layer i+1 up to layer i
-    h: list = field(default_factory=list)  # representations, all entrywise >= 0
+    basis: np.ndarray         # d x k basis phi: z_1 ... z_m, then x pinv(h) per sweep
+    h: np.ndarray             # k x n partition h_m, entrywise >= 0
 
 
-def validate_layer_dims(dims, k: int, feature_dims, n: int) -> list[int]:
-    """Check a layer-width scheme: strictly decreasing, ending at k, fitting every view."""
+def validate_layer_dims(dims, k: int, feature_dims=(), n: int | None = None) -> list[int]:
+    """Check a layer-width scheme: positive, strictly decreasing and ending at k;
+    with the view dimensions and the sample count, also fitting every view."""
     dims = [int(d) for d in dims]
     if not dims:
         raise ValueError("layer dims must be non-empty")
@@ -39,12 +44,11 @@ def validate_layer_dims(dims, k: int, feature_dims, n: int) -> list[int]:
         raise ValueError(f"layer widths must be positive, got {dims}")
     if any(a <= b for a, b in zip(dims, dims[1:])):
         raise ValueError(f"layer widths must be strictly decreasing, got {dims}")
-    smallest = min(feature_dims)
-    if dims[0] > smallest:
+    if feature_dims and dims[0] > min(feature_dims):
         raise ValueError(
-            f"first layer width {dims[0]} exceeds the smallest view dimension {smallest}"
+            f"first layer width {dims[0]} exceeds the smallest view dimension {min(feature_dims)}"
         )
-    if dims[0] > n:
+    if n is not None and dims[0] > n:
         raise ValueError(f"first layer width {dims[0]} exceeds the sample count {n}")
     return dims
 
@@ -53,34 +57,25 @@ def pretrain_view(x, dims, iters: int, seeds) -> ViewFactorization:
     """Greedy layer-wise pretraining: factorize x, then each representation in turn.
 
     Layer j is seeded by k-means with seed seeds[j]; there is one seed per width.
+    The view holds the layer bases folded left to right, z_1 @ z_2 @ ... @ z_m,
+    and the last layer's representation.
     """
     x = as_matrix(x, "x")
-    vf = ViewFactorization(x=x)
-    current = x
+    basis, h = None, x
     for width, seed in zip(dims, seeds, strict=True):
-        factors = fit_layer(current, width, iters=iters, seed=seed)
-        vf.z.append(factors.z)
-        vf.h.append(factors.h)
-        current = factors.h
-    return vf
-
-
-def _product(zs) -> np.ndarray:
-    """zs[0] @ ... @ zs[-1], folded left to right."""
-    out = zs[0]
-    for z in zs[1:]:
-        out = out @ z
-    return out
+        z, h = fit_layer(h, width, iters=iters, seed=seed)
+        basis = z if basis is None else basis @ z
+    return ViewFactorization(x=x, basis=basis, h=h)
 
 
 def update_basis(vf: ViewFactorization) -> np.ndarray:
     """Fine-tuning's one basis phi = x pinv(h_m), the exact least-squares refit."""
-    return refit_basis(vf.x, vf.h[-1])
+    return refit_basis(vf.x, vf.h)
 
 
 def update_hidden(vf: ViewFactorization, weight=1.0, pull=None) -> np.ndarray:
-    """Multiplicative step on h_m against the basis product; see multiplicative_step."""
-    return multiplicative_step(vf.x, _product(vf.z), vf.h[-1], weight=weight, pull=pull)
+    """Multiplicative step on h_m against the basis phi; see multiplicative_step."""
+    return multiplicative_step(vf.x, vf.basis, vf.h, weight=weight, pull=pull)
 
 
 def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam: float):
@@ -99,9 +94,9 @@ def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam
 
 
 def reconstruction_loss(vf: ViewFactorization) -> float:
-    """||x - z_1 ... z_m h_m||_F^2 for the current factors."""
+    """||x - phi h_m||_F^2 for the current basis and partition."""
     # one d x n buffer: the residual and its square overwrite the rebuild
-    residual = _product(vf.z) @ vf.h[-1]
+    residual = vf.basis @ vf.h
     np.subtract(vf.x, residual, out=residual)
     np.square(residual, out=residual)
     return float(np.sum(residual))
@@ -120,24 +115,24 @@ def fix_partition_gauge(vf: ViewFactorization) -> None:
     zero or non-finite partition is unrecoverable because multiplicative
     steps lock zeros in place.
     """
-    hm = vf.h[-1]
+    hm = vf.h
     if not np.all(np.isfinite(hm)):
         raise NumericalError("partition matrix diverged during fine-tuning")
     norms = np.linalg.norm(hm, axis=1)
     if not norms.any():
         raise NumericalError("partition matrix collapsed during fine-tuning")
     scale = np.where(norms > 0.0, norms, 1.0)
-    vf.h[-1] = hm / scale[:, None]
+    vf.h = hm / scale[:, None]
 
 
 def sweep_view(vf, consensus, rotation, alpha_v, beta_v, lam):
     """One fine-tuning pass over a view, in place: the basis refit, the
     partition step, then the gauge fix that pins the partition scale.
 
-    The view leaves it holding x, the one basis phi = x pinv(h_m) and h_m:
-    a deeper chain from pretraining enters only through its h_m.
+    The refit basis phi = x pinv(h_m) replaces the one before, so a
+    pretrained chain of any depth enters only through its h_m.
     """
-    vf.z = [update_basis(vf)]
-    vf.h = [update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)]
+    vf.basis = update_basis(vf)
+    vf.h = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
     fix_partition_gauge(vf)
     return vf

@@ -4,8 +4,8 @@ From a start that is pretraining alone, one outer iteration runs, in order:
 the consensus step, a fine-tuning sweep of every view (basis refit,
 partition step), the per-view rotation steps, the alpha step, and the beta
 step; iteration 0's consensus step is the first. Layer depth acts through
-pretraining: its h_m starts the fit, and each view's first sweep replaces
-the pretrained chain of bases by the one basis x pinv(h_m).
+pretraining alone: each view starts as x, its folded basis and h_m, and
+each sweep refits that one basis as x pinv(h_m).
 The joint objective is recorded after the beta step; from iteration 1 on,
 the loop stops when its relative change falls below tol (check_convergence),
 else after max_iter iterations. score_labels is the one scorer of labels
@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from mvfuse.data import MultiViewDataset
 from mvfuse.deep import (
-    ViewFactorization,
     fix_partition_gauge,
     pretrain_view,
     reconstruction_loss,
@@ -95,7 +94,7 @@ class IterationRecord:
     w_residuals: np.ndarray        # per-view ||w w^T - I||_F
     alpha_residual: float          # |sum(alpha) - 1|
     beta_residual: float           # |  ||beta|| - 1|
-    min_h_entry: float             # min over every view's h_m, all that fine-tuning holds
+    min_h_entry: float             # min over every view's partition h_m
     consensus_degenerate: bool
     rotation_degenerate: np.ndarray
 
@@ -162,10 +161,9 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     term: hp.lam is never read here. Inside a shared_pretraining() block the
     gauge-fixed views are memoised per (dataset, dims, seed, pretrain_iters),
     with the dataset object itself as the key, and a later call with the same
-    key starts from them without pretraining. Every call returns new factor
-    lists, rotations and weights; the arrays in them are shared, since every
-    update replaces list entries and state fields rather than writing into an
-    array.
+    key starts from them without pretraining. Every call returns new views,
+    rotations and weights; the arrays in the views are shared, since every
+    update replaces view and state fields rather than writing into an array.
     """
     hp.validate()
     dataset.validate()
@@ -191,7 +189,7 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
             fix_partition_gauge(vf)
         if memo is not None:
             memo[key] = views
-    views = [ViewFactorization(x=vf.x, z=list(vf.z), h=list(vf.h)) for vf in views]
+    views = [replace(vf) for vf in views]
     return views, FusionState(h=None, w=w, alpha=alpha, beta=beta)
 
 
@@ -206,7 +204,7 @@ def _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate
         w_residuals=np.array(res["w"]),
         alpha_residual=res["alpha"],
         beta_residual=res["beta"],
-        min_h_entry=float(np.min([h.min() for vf in views for h in vf.h])),  # NaN-propagating
+        min_h_entry=float(np.min([vf.h.min() for vf in views])),  # NaN-propagating
         consensus_degenerate=consensus_degenerate,
         rotation_degenerate=np.array(rotation_degenerate),
     )
@@ -234,7 +232,7 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
         stage = "consensus"
         try:
             h, consensus_degenerate = update_consensus(
-                [vf.h[-1] for vf in views], state.w, state.beta
+                [vf.h for vf in views], state.w, state.beta
             )
             if not consensus_degenerate or state.h is None:
                 state.h = h  # a first consensus has no previous one to keep
@@ -244,7 +242,7 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
             stage = "rotation"
             rotation_degenerate = []
             for v, vf in enumerate(views):
-                w_new, degenerate = update_rotation(vf.h[-1], state.h, state.beta[v])
+                w_new, degenerate = update_rotation(vf.h, state.h, state.beta[v])
                 if not degenerate:
                     state.w[v] = w_new
                 rotation_degenerate.append(degenerate)
@@ -252,7 +250,7 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
             losses = np.array([reconstruction_loss(vf) for vf in views])
             state.alpha = update_alpha(losses)
             stage = "beta"
-            state.beta, traces = update_beta([vf.h[-1] for vf in views], state.w, state.h)
+            state.beta, traces = update_beta([vf.h for vf in views], state.w, state.h)
             stage = "objective"
             obj = objective(losses, traces, state, hp.lam)
         except NumericalError as exc:

@@ -9,7 +9,7 @@ repeated row of h) falls back to the SVD pinv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ EPS = 1e-10
 INIT_KMEANS_RESTARTS = 10
 
 
-@dataclass
-class LayerFactors:
+class LayerFactors(NamedTuple):
     z: np.ndarray  # d x l basis, mixed signs allowed
     h: np.ndarray  # l x n representation, entrywise >= 0
 
@@ -73,8 +72,7 @@ def fit_layer(x, width: int, iters: int, seed: int) -> LayerFactors:
     """Alternate h steps and exact z refits; init_layer's z is already fit to the seeded h."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    factors = init_layer(x, width, seed=seed)
-    z, h = factors.z, factors.h
+    z, h = init_layer(x, width, seed=seed)
     for t in range(iters):
         if t > 0:
             z = refit_basis(x, h)

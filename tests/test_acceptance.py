@@ -274,23 +274,22 @@ def test_criterion_6_multiplicative_monotonicity():
     partition_ok = True
     for _ in range(20):
         z = [rng.standard_normal((12, 6)), rng.standard_normal((6, 3))]
-        h1 = rng.uniform(0.05, 1.0, size=(6, 15))
         hm = rng.uniform(0.05, 1.0, size=(3, 15))
-        vf = ViewFactorization(x=rng.standard_normal((12, 15)), z=z, h=[h1, hm])
+        vf = ViewFactorization(x=rng.standard_normal((12, 15)), basis=z[0] @ z[1], h=hm)
         consensus = _row_orthonormal(rng, 3, 15)
         rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         alpha_v, beta_v, lam = 0.7, 0.6, 1.5
-        phi = z[0] @ z[1]
+        phi = vf.basis
 
         def value(m):
             recon = np.linalg.norm(vf.x - phi @ m) ** 2
             align = float(np.sum(m * (rotation @ consensus)))
             return alpha_v**2 * recon - lam * beta_v * align
 
-        prev = value(vf.h[-1])
+        prev = value(vf.h)
         for _ in range(50):
-            vf.h[-1] = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
-            cur = value(vf.h[-1])
+            vf.h = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
+            cur = value(vf.h)
             partition_ok &= cur <= prev + slack
             prev = cur
 

@@ -66,6 +66,12 @@ def test_layer_schemes_cover_two_and_three_layer_families():
         layer_schemes(3, kinds=("p4",))
 
 
+def test_layer_schemes_check_only_the_families_they_build():
+    assert layer_schemes(3, kinds=("p2",), p2_l1=(2,), p3_l1=(1,), p3_l2=(1,)) == [[6, 3]]
+    with pytest.raises(ValueError, match=r"^--p3-l1/--p3-l2: layer widths must be strictly"):
+        layer_schemes(3, kinds=("p3",), p3_l1=(2,), p3_l2=(2,))
+
+
 def test_parse_synthetic_spec():
     kwargs = _parse_synthetic_spec("n=60,k=4,dims=10/20,sigma=0.2,seed=3,nuisance-dim=2")
     assert kwargs == dict(
@@ -79,6 +85,8 @@ def test_parse_synthetic_spec():
         _parse_synthetic_spec("n=60,k")
     with pytest.raises(ValueError, match="synthetic spec key 'dims'"):
         _parse_synthetic_spec("n=60,k=4,dims=10/x")
+    with pytest.raises(ValueError, match=r"^synthetic spec key 'n' given twice$"):
+        _parse_synthetic_spec("n=30,k=3,dims=5/6,n=40")
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +603,9 @@ def test_grid_records_failed_cells(tmp_path, capsys):
     assert ok["error"] == ""
 
 
+GRID = ["grid", "--synthetic", SMALL_SPEC, "--repeats", "1", "--max-iter", "5", "--restarts", "2"]
+
+
 # Each out-of-range option with the HyperParams field it sets; the error names
 # the flag the user typed, never the field.
 OUT_OF_RANGE_OPTIONS = [
@@ -650,6 +661,44 @@ def test_synth_names_a_negative_spec_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec, error", [
+    ("sigma=nan", "noise_sigma must be finite and >= 0, got nan"),
+    ("sigma=inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("nuisance-dim=2,nuisance-scale=inf", "nuisance_scale must be finite, got inf"),
+    ("nuisance-dim=2,nuisance-scale=nan", "nuisance_scale must be finite, got nan"),
+])
+@pytest.mark.parametrize("command", [
+    ["synth"],
+    ["run", "--lambda", "1", "--dims", "6,3"],
+    ["grid", "--lambdas", "1", "--schemes", "p2", "--p2-l1", "2"],
+], ids=["synth", "run", "grid"])
+def test_synth_run_and_grid_reject_a_non_finite_noise_scale(tmp_path, capsys, monkeypatch,
+                                                           command, spec, error):
+    monkeypatch.setattr(cli_module, "fit", lambda *a: pytest.fail("a fit ran"))
+    argv = [*command, "--synthetic", f"n=40,k=3,dims=10/14,{spec}", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option, error", [
+    (["--schemes", "p2", "--p2-l1", "0"], "--p2-l1: layer widths must be positive, got [0, 3]"),
+    (["--schemes", "p2", "--p2-l1", "4,-2"], "--p2-l1: layer widths must be positive, got [-6, 3]"),
+    (["--p2-l1", "1"], "--p2-l1: layer widths must be strictly decreasing, got [3, 3]"),
+    (["--schemes", "p3", "--p3-l1", "4", "--p3-l2", "4"],
+     "--p3-l1/--p3-l2: layer widths must be strictly decreasing, got [12, 12, 3]"),
+])
+def test_grid_rejects_a_layer_scheme_no_data_admits_before_any_fit(
+    tmp_path, capsys, monkeypatch, option, error
+):
+    calls = []
+    monkeypatch.setattr(cli_module, "fit", lambda *args: calls.append(args))
+    assert main(GRID + option + ["--lambdas", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["grid", "--synthetic", SMALL_SPEC, "--lambdas", "1,x"], "--lambdas"),
     (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", "6,x"], "--dims"),
@@ -660,9 +709,6 @@ def test_synth_names_a_negative_spec_seed(tmp_path, capsys):
 ])
 def test_fit_commands_name_the_flag_of_an_unparsable_value(tmp_path, capsys, argv, flag):
     _assert_names_flag(tmp_path, capsys, argv, flag)
-
-
-GRID = ["grid", "--synthetic", SMALL_SPEC, "--repeats", "1", "--max-iter", "5", "--restarts", "2"]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -263,21 +263,21 @@ def _exact_view(rng, d, k, n):
         h[i, cols] = 1.0
     h /= np.linalg.norm(h, axis=1, keepdims=True)
     z = rng.standard_normal((d, k))
-    return ViewFactorization(x=z @ h, z=[z], h=[h])
+    return ViewFactorization(x=z @ h, basis=z, h=h)
 
 
 def test_objective_pure_alignment_equals_minus_lam_k():
     rng = np.random.default_rng(83)
     vf = _exact_view(rng, d=8, k=3, n=24)
     state = FusionState(
-        h=vf.h[-1].copy(),
+        h=vf.h.copy(),
         w=[np.eye(3)],
         alpha=np.array([1.0]),
         beta=np.array([1.0]),
     )
     lam = 0.7
     losses = [reconstruction_loss(vf)]
-    _, traces = update_beta([vf.h[-1]], state.w, state.h)
+    _, traces = update_beta([vf.h], state.w, state.h)
     assert np.isclose(objective(losses, traces, state, lam), -lam * 3.0, atol=1e-12)
 
 
@@ -287,7 +287,8 @@ def test_objective_matches_term_by_term_recomputation():
     for d in (10, 14):
         z = [rng.standard_normal((d, 5)), rng.standard_normal((5, 3))]
         h = [rng.uniform(0.05, 1.0, size=(5, 20)), rng.uniform(0.05, 1.0, size=(3, 20))]
-        views.append(ViewFactorization(x=rng.standard_normal((d, 20)), z=z, h=h))
+        x = rng.standard_normal((d, 20))
+        views.append(ViewFactorization(x=x, basis=z[0] @ z[1], h=h[1]))
     state = FusionState(
         h=_row_orthonormal(rng, 3, 20),
         w=[np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)],
@@ -297,11 +298,11 @@ def test_objective_matches_term_by_term_recomputation():
     lam = 1.3
     expected = 0.0
     for a, b, w, vf in zip(state.alpha, state.beta, state.w, views):
-        recon = np.linalg.norm(vf.x - vf.z[0] @ vf.z[1] @ vf.h[1], "fro") ** 2
-        align = np.trace(vf.h[1].T @ w @ state.h)
+        recon = np.linalg.norm(vf.x - vf.basis @ vf.h, "fro") ** 2
+        align = np.trace(vf.h.T @ w @ state.h)
         expected += a * a * recon - lam * b * align
     losses = [reconstruction_loss(vf) for vf in views]
-    _, traces = update_beta([vf.h[-1] for vf in views], state.w, state.h)
+    _, traces = update_beta([vf.h for vf in views], state.w, state.h)
     assert np.isclose(objective(losses, traces, state, lam), expected, rtol=1e-12)
 
 

@@ -82,8 +82,8 @@ def test_init_state_starts_from_neutral_weights():
         assert np.array_equal(w, np.eye(3))
     assert state.h is None  # fit's first consensus step computes it
     for vf in views:
-        assert np.allclose(np.linalg.norm(vf.h[-1], axis=1), 1.0, atol=1e-12)
-        assert all(h.min() >= 0 for h in vf.h)
+        assert np.allclose(np.linalg.norm(vf.h, axis=1), 1.0, atol=1e-12)
+        assert vf.h.min() >= 0
 
 
 def test_init_state_is_deterministic():
@@ -92,8 +92,7 @@ def test_init_state_is_deterministic():
     views_a, state_a = init_state(ds, hp)
     views_b, state_b = init_state(ds, hp)
     for va, vb in zip(views_a, views_b):
-        for a, b in zip(va.h, vb.h):
-            assert np.array_equal(a, b)
+        assert np.array_equal(va.h, vb.h)
     assert np.array_equal(state_a.h, state_b.h)
 
 
@@ -101,8 +100,8 @@ def test_init_state_seeds_views_independently():
     ds = _small_dataset()
     views, _ = init_state(ds, HyperParams(lam=1.0, dims=[6, 3], seed=4))
     # same widths, different pretraining randomness per view
-    assert views[0].h[-1].shape == views[1].h[-1].shape
-    assert not np.allclose(views[0].h[-1], views[1].h[-1])
+    assert views[0].h.shape == views[1].h.shape
+    assert not np.allclose(views[0].h, views[1].h)
 
 
 def test_every_kmeans_call_of_a_fit_takes_its_seed_from_the_layout(monkeypatch):
@@ -209,14 +208,14 @@ def test_fit_is_bitwise_deterministic():
 def _healthy_record_inputs():
     ds = _small_dataset()
     views, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
-    state.h, _ = update_consensus([vf.h[-1] for vf in views], state.w, state.beta)
+    state.h, _ = update_consensus([vf.h for vf in views], state.w, state.beta)
     losses = np.array([reconstruction_loss(vf) for vf in views])
     return views, state, losses
 
 
 def _poison_partition(views, state):
-    views[1].h[-1] = views[1].h[-1].copy()
-    views[1].h[-1][2, 5] = np.nan  # gives min_h_entry = nan
+    views[1].h = views[1].h.copy()
+    views[1].h[2, 5] = np.nan  # gives min_h_entry = nan
     return -1.0
 
 
@@ -405,7 +404,7 @@ def _counting_pretrain(monkeypatch):
 def _assert_same_start(got, expect):
     (views, state), (views_e, state_e) = got, expect
     for vf, vf_e in zip(views, views_e, strict=True):
-        for a, b in zip([vf.x, *vf.z, *vf.h], [vf_e.x, *vf_e.z, *vf_e.h], strict=True):
+        for a, b in zip([vf.x, vf.basis, vf.h], [vf_e.x, vf_e.basis, vf_e.h], strict=True):
             assert np.array_equal(a, b)
     for a, b in zip([state.h, state.alpha, state.beta, *state.w],
                     [state_e.h, state_e.alpha, state_e.beta, *state_e.w], strict=True):
@@ -436,7 +435,7 @@ def test_a_fine_tune_leaves_the_shared_start_unchanged():
         again = init_state(ds, hp)
     _assert_same_start(first, before)
     _assert_same_start(again, before)
-    assert again[0][0].z is not first[0][0].z and again[1].w is not first[1].w
+    assert again[0][0] is not first[0][0] and again[1].w is not first[1].w
 
 
 def test_a_shared_start_runs_no_pretraining_and_no_consensus_step(monkeypatch):
@@ -461,7 +460,7 @@ def test_a_shared_start_runs_no_pretraining_and_no_consensus_step(monkeypatch):
     (views, state), (views_a, state_a) = first, again
     assert state_a.w is not state.w
     for vf, vf_a in zip(views, views_a, strict=True):
-        assert vf_a is not vf and vf_a.z is not vf.z and vf_a.h is not vf.h
+        assert vf_a is not vf
 
 
 @pytest.mark.parametrize("change", ["dataset", "dims", "seed", "pretrain_iters"])

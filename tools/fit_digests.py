@@ -5,7 +5,7 @@ imports mvfuse from the `src` directory next to it, so running it in two
 checkouts and comparing the outputs with `diff` shows whether a change moved
 any of these outputs:
 
-- five fits: the h, labels and objective trace of each, plus its iteration
+- six fits: the h, labels and objective trace of each, plus its iteration
   count and final objective;
 - `eval`'s stdout for the labels of the first fit against its ground truth;
 - `run --manifest` on the benchmark dataset saved as text: its stdout (with
@@ -43,6 +43,7 @@ LARGE = dict(n=3000, k=5, view_dims=[100, 200, 300], noise_sigma=0.1, seed=0)
 FITS = [
     ("benchmark-seed0", BENCHMARK, [12, 3], 1.0, 150, 0),
     ("benchmark-seed7", BENCHMARK, [12, 3], 1.0, 150, 7),
+    ("benchmark-one-layer", BENCHMARK, [3], 1.0, 150, 0),
     ("nuisance-24.12.3", NUISANCE, [24, 12, 3], 2.0**5, 30, 0),
     ("nuisance-12.6.3", NUISANCE, [12, 6, 3], 2.0**-12, 30, 3),
     ("large-seed0", LARGE, [20, 5], 1.0, 50, 0),

@@ -1,7 +1,7 @@
 """Compare the fits of two checkouts up to rounding: labels, iteration counts, objectives.
 
 Run `python3 tools/fit_gap.py OLD NEW` with two checkout directories. Each
-checkout's mvfuse runs in its own subprocess on the five fits of
+checkout's mvfuse runs in its own subprocess on the six fits of
 `fit_digests.FITS` and on the 16 fits that `grid` runs for
 `fit_digests.GRID_ARGS` at `--seed 0`. Per fit the script prints whether the
 labels are equal, both iteration counts, and the largest relative gap
