@@ -72,12 +72,18 @@ def _fmt(x) -> str:
 
 
 def _parse_list(text, flag, parse=int):
+    """The values of a comma-separated list flag: no item empty, no value repeated."""
+    items = str(text).split(",")
     try:
-        values = [parse(t) for t in str(text).split(",") if t != ""]
+        values = [] if "" in items else [parse(t) for t in items]
     except ValueError:
         values = []
     if not values:
-        raise ValueError(f"{flag} must be a non-empty comma-separated {parse.__name__} list, got {text!r}")
+        raise ValueError(f"{flag} must be a comma-separated {parse.__name__} list "
+                         f"with no empty item, got {text!r}")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{flag} repeats the value {repeated!r}, got {text!r}")
     return values
 
 

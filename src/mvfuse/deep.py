@@ -4,15 +4,15 @@ Greedy layer-wise pretraining fits x ~ z_1 ... z_m h_m with layer widths
 shrinking down to the cluster count k, so the last representation h_m is a
 k x n soft partition of the view. Depth acts through pretraining alone:
 refitting every basis of the chain in turn would leave z_1 ... z_m equal to
-x pinv(h_m), and nothing reads the inner representations, so a view holds
-the chain folded into one basis phi = z_1 ... z_m, and h_m. Each fine-tuning
-sweep alternates phi's exact least-squares refit with a multiplicative step
-on h_m that also feels the consensus-alignment pull.
+x pinv(h_m), and nothing reads the inner representations, so pretraining
+hands on h_m alone. Each fine-tuning sweep derives the one basis
+phi = x pinv(h_m) by an exact least-squares refit, then takes a
+multiplicative step on h_m that also feels the consensus-alignment pull;
+phi lives only until the sweep's reconstruction loss is taken. Every update
+is a function of arrays that writes into none of them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +20,6 @@ from mvfuse.linalg import NumericalError, as_matrix
 # Unused here; kept because the benchmark's tracer wraps this module attribute.
 from mvfuse.linalg import pinv  # noqa: F401
 from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis
-
-
-@dataclass
-class ViewFactorization:
-    """One view x ~ basis @ h. Updates replace the fields and never write
-    into an array, so views may share arrays."""
-
-    x: np.ndarray             # d x n view matrix
-    basis: np.ndarray         # d x k basis phi: z_1 ... z_m, then x pinv(h) per sweep
-    h: np.ndarray             # k x n partition h_m, entrywise >= 0
 
 
 def validate_layer_dims(dims, k: int, feature_dims=(), n: int | None = None) -> list[int]:
@@ -53,32 +43,29 @@ def validate_layer_dims(dims, k: int, feature_dims=(), n: int | None = None) -> 
     return dims
 
 
-def pretrain_view(x, dims, iters: int, seeds) -> ViewFactorization:
+def pretrain_view(x, dims, iters: int, seeds) -> np.ndarray:
     """Greedy layer-wise pretraining: factorize x, then each representation in turn.
 
     Layer j is seeded by k-means with seed seeds[j]; there is one seed per width.
-    The view holds the layer bases folded left to right, z_1 @ z_2 @ ... @ z_m,
-    and the last layer's representation.
+    Returns the last layer's representation h_m; the layer bases are dropped.
     """
-    x = as_matrix(x, "x")
-    basis, h = None, x
+    h = as_matrix(x, "x")
     for width, seed in zip(dims, seeds, strict=True):
-        z, h = fit_layer(h, width, iters=iters, seed=seed)
-        basis = z if basis is None else basis @ z
-    return ViewFactorization(x=x, basis=basis, h=h)
+        _, h = fit_layer(h, width, iters=iters, seed=seed)
+    return h
 
 
-def update_basis(vf: ViewFactorization) -> np.ndarray:
+def update_basis(x, h) -> np.ndarray:
     """Fine-tuning's one basis phi = x pinv(h_m), the exact least-squares refit."""
-    return refit_basis(vf.x, vf.h)
+    return refit_basis(x, h)
 
 
-def update_hidden(vf: ViewFactorization, weight=1.0, pull=None) -> np.ndarray:
+def update_hidden(x, basis, h, weight=1.0, pull=None) -> np.ndarray:
     """Multiplicative step on h_m against the basis phi; see multiplicative_step."""
-    return multiplicative_step(vf.x, vf.basis, vf.h, weight=weight, pull=pull)
+    return multiplicative_step(x, basis, h, weight=weight, pull=pull)
 
 
-def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam: float):
+def update_partition(x, basis, h, consensus, rotation, alpha_v: float, beta_v: float, lam: float):
     """Multiplicative step on the last-layer partition h_m.
 
     Descends alpha_v^2 ||x - phi h_m||^2 - lam beta_v tr(consensus h_m^T rotation):
@@ -89,50 +76,48 @@ def update_partition(vf, consensus, rotation, alpha_v: float, beta_v: float, lam
     if lam < 0:
         raise ValueError("lam must be >= 0")
     return update_hidden(
-        vf, weight=2.0 * alpha_v * alpha_v, pull=lam * beta_v * (rotation @ consensus)
+        x, basis, h, weight=2.0 * alpha_v * alpha_v, pull=lam * beta_v * (rotation @ consensus)
     )
 
 
-def reconstruction_loss(vf: ViewFactorization) -> float:
-    """||x - phi h_m||_F^2 for the current basis and partition."""
+def reconstruction_loss(x, basis, h) -> float:
+    """||x - phi h_m||_F^2 for a basis and partition."""
     # one d x n buffer: the residual and its square overwrite the rebuild
-    residual = vf.basis @ vf.h
-    np.subtract(vf.x, residual, out=residual)
+    residual = basis @ h
+    np.subtract(x, residual, out=residual)
     np.square(residual, out=residual)
     return float(np.sum(residual))
 
 
-def fix_partition_gauge(vf: ViewFactorization) -> None:
-    """Rescale each row of h_m to unit norm.
+def fix_partition_gauge(h) -> np.ndarray:
+    """h_m with each row rescaled to unit norm.
 
     The factorization is invariant to any positive diagonal moved between
     the basis and the partition, but the alignment reward is not: left
     alone it inflates h_m without bound while the basis refit absorbs the
     growth. Pinning the row scales removes the degenerate orbit, keeps
     partitions comparable across views, and bounds the alignment trace.
-    The factor is not folded into the basis, which the next refit
-    re-derives from h_m alone. Zero rows are left untouched; an entirely
-    zero or non-finite partition is unrecoverable because multiplicative
-    steps lock zeros in place.
+    The next refit re-derives the basis from h_m alone. Zero rows are left
+    untouched; an entirely zero or non-finite partition is unrecoverable
+    because multiplicative steps lock zeros in place.
     """
-    hm = vf.h
-    if not np.all(np.isfinite(hm)):
+    if not np.all(np.isfinite(h)):
         raise NumericalError("partition matrix diverged during fine-tuning")
-    norms = np.linalg.norm(hm, axis=1)
+    norms = np.linalg.norm(h, axis=1)
     if not norms.any():
         raise NumericalError("partition matrix collapsed during fine-tuning")
     scale = np.where(norms > 0.0, norms, 1.0)
-    vf.h = hm / scale[:, None]
+    return h / scale[:, None]
 
 
-def sweep_view(vf, consensus, rotation, alpha_v, beta_v, lam):
-    """One fine-tuning pass over a view, in place: the basis refit, the
-    partition step, then the gauge fix that pins the partition scale.
+def sweep_view(x, h, consensus, rotation, alpha_v, beta_v, lam):
+    """One fine-tuning pass over a view: the basis refit, the partition step,
+    then the gauge fix that pins the partition scale.
 
-    The refit basis phi = x pinv(h_m) replaces the one before, so a
-    pretrained chain of any depth enters only through its h_m.
+    Returns (basis, h): the refit basis phi = x pinv(h_m), which the new
+    partition was stepped against, and the new partition. A pretrained chain
+    of any depth enters only through its h_m.
     """
-    vf.basis = update_basis(vf)
-    vf.h = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
-    fix_partition_gauge(vf)
-    return vf
+    basis = update_basis(x, h)
+    h = update_partition(x, basis, h, consensus, rotation, alpha_v, beta_v, lam)
+    return basis, fix_partition_gauge(h)

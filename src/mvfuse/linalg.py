@@ -74,15 +74,13 @@ def gram_inverse(a: np.ndarray) -> np.ndarray | None:
 
 
 def pos_part(a: np.ndarray) -> np.ndarray:
-    """Elementwise (|A| + A) / 2."""
-    a = np.asarray(a, dtype=np.float64)
-    return (np.abs(a) + a) / 2.0
+    """Elementwise max(A, 0), which is (|A| + A) / 2 without its overflow."""
+    return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
 
 
 def neg_part(a: np.ndarray) -> np.ndarray:
-    """Elementwise (|A| - A) / 2, so that pos_part(a) - neg_part(a) == a."""
-    a = np.asarray(a, dtype=np.float64)
-    return (np.abs(a) - a) / 2.0
+    """Elementwise max(-A, 0), so that pos_part(a) - neg_part(a) == a."""
+    return np.maximum(-np.asarray(a, dtype=np.float64), 0.0)
 
 
 def procrustes_max(u: np.ndarray) -> tuple[np.ndarray, bool]:

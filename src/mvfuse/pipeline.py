@@ -4,8 +4,9 @@ From a start that is pretraining alone, one outer iteration runs, in order:
 the consensus step, a fine-tuning sweep of every view (basis refit,
 partition step), the per-view rotation steps, the alpha step, and the beta
 step; iteration 0's consensus step is the first. Layer depth acts through
-pretraining alone: each view starts as x, its folded basis and h_m, and
-each sweep refits that one basis as x pinv(h_m).
+pretraining alone: a view's state is its partition h_m, and each sweep
+refits the view's one basis as x pinv(h_m), used for that sweep's step and
+reconstruction loss and then dropped.
 The joint objective is recorded after the beta step; from iteration 1 on,
 the loop stops when its relative change falls below tol (check_convergence),
 else after max_iter iterations. score_labels is the one scorer of labels
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def shared_pretraining():
 
     Inside the block, fits that share the dataset object, the layer dims, the
     seed and pretrain_iters -- all init_state reads, so any lam -- start from
-    one pretraining. The memo keys the gauge-fixed views by the dataset
+    one pretraining. The memo keys the gauge-fixed partitions by the dataset
     object itself (datasets compare and hash by identity) and holds it for
     the block. Results are identical to fits outside a block. The dataset
     must not change while the block is open. Blocks do not nest.
@@ -155,15 +156,15 @@ def shared_pretraining():
 def init_state(dataset: MultiViewDataset, hp: HyperParams):
     """Pretrain every view, then start fusion from neutral weights.
 
+    Returns each view's gauge-fixed partition h_m and the fusion state.
     Rotations start at identity, alpha uniform, beta uniform on the unit
     sphere, and the consensus is None: fit's first consensus step computes
     it. Pretraining is greedy and layer-wise, so it never sees the alignment
     term: hp.lam is never read here. Inside a shared_pretraining() block the
-    gauge-fixed views are memoised per (dataset, dims, seed, pretrain_iters),
-    with the dataset object itself as the key, and a later call with the same
-    key starts from them without pretraining. Every call returns new views,
-    rotations and weights; the arrays in the views are shared, since every
-    update replaces view and state fields rather than writing into an array.
+    partitions are memoised per (dataset, dims, seed, pretrain_iters), with
+    the dataset object itself as the key, and a later call with the same key
+    starts from them without pretraining. No update writes into a partition,
+    so calls share them; every call returns a new list, rotations and weights.
     """
     hp.validate()
     dataset.validate()
@@ -177,23 +178,20 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
     memo = getattr(_shared, "memo", None)
     key = (dataset, tuple(dims), hp.seed, hp.pretrain_iters)
     if memo is not None and key in memo:
-        views = memo[key]
+        partitions = memo[key]
     else:
-        views = [
-            pretrain_view(
+        partitions = [
+            fix_partition_gauge(pretrain_view(
                 x, dims, hp.pretrain_iters, [kmeans_seed(hp.seed, v, j) for j in range(len(dims))]
-            )
+            ))
             for v, x in enumerate(dataset.views)
         ]
-        for vf in views:
-            fix_partition_gauge(vf)
         if memo is not None:
-            memo[key] = views
-    views = [replace(vf) for vf in views]
-    return views, FusionState(h=None, w=w, alpha=alpha, beta=beta)
+            memo[key] = partitions
+    return list(partitions), FusionState(h=None, w=w, alpha=alpha, beta=beta)
 
 
-def _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate, it):
+def _record(partitions, state, obj, losses, consensus_degenerate, rotation_degenerate, it):
     res = state.residuals()
     rec = IterationRecord(
         objective=obj,
@@ -204,7 +202,7 @@ def _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate
         w_residuals=np.array(res["w"]),
         alpha_residual=res["alpha"],
         beta_residual=res["beta"],
-        min_h_entry=float(np.min([vf.h.min() for vf in views])),  # NaN-propagating
+        min_h_entry=float(np.min([hm.min() for hm in partitions])),  # NaN-propagating
         consensus_degenerate=consensus_degenerate,
         rotation_degenerate=np.array(rotation_degenerate),
     )
@@ -226,37 +224,38 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
     when the dataset carries ground truth -- acc/nmi/pur scores. Numerical
     failure in any block aborts with the iteration and block named.
     """
-    views, state = init_state(dataset, hp)
+    partitions, state = init_state(dataset, hp)
     history = []
     for it in range(hp.max_iter):
         stage = "consensus"
         try:
-            h, consensus_degenerate = update_consensus(
-                [vf.h for vf in views], state.w, state.beta
-            )
+            h, consensus_degenerate = update_consensus(partitions, state.w, state.beta)
             if not consensus_degenerate or state.h is None:
                 state.h = h  # a first consensus has no previous one to keep
             stage = "view sweep"
-            for v, vf in enumerate(views):
-                sweep_view(vf, state.h, state.w[v], state.alpha[v], state.beta[v], hp.lam)
+            losses = np.empty(dataset.num_views)
+            for v, x in enumerate(dataset.views):
+                basis, partitions[v] = sweep_view(
+                    x, partitions[v], state.h, state.w[v], state.alpha[v], state.beta[v], hp.lam
+                )
+                losses[v] = reconstruction_loss(x, basis, partitions[v])
             stage = "rotation"
             rotation_degenerate = []
-            for v, vf in enumerate(views):
-                w_new, degenerate = update_rotation(vf.h, state.h, state.beta[v])
+            for v, hm in enumerate(partitions):
+                w_new, degenerate = update_rotation(hm, state.h, state.beta[v])
                 if not degenerate:
                     state.w[v] = w_new
                 rotation_degenerate.append(degenerate)
             stage = "alpha"
-            losses = np.array([reconstruction_loss(vf) for vf in views])
             state.alpha = update_alpha(losses)
             stage = "beta"
-            state.beta, traces = update_beta([vf.h for vf in views], state.w, state.h)
+            state.beta, traces = update_beta(partitions, state.w, state.h)
             stage = "objective"
             obj = objective(losses, traces, state, hp.lam)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}, {stage} block: {exc}") from exc
         history.append(
-            _record(views, state, obj, losses, consensus_degenerate, rotation_degenerate, it)
+            _record(partitions, state, obj, losses, consensus_degenerate, rotation_degenerate, it)
         )
         if it > 0 and check_convergence(history[-2].objective, history[-1].objective, hp.tol):
             break

@@ -18,7 +18,7 @@ import pytest
 from conftest import _row_orthonormal, benchmark_hp
 from mvfuse.cli import main
 from mvfuse.data import generate_synthetic, normalize_dataset
-from mvfuse.deep import ViewFactorization, update_partition
+from mvfuse.deep import update_partition
 from mvfuse.fusion import update_alpha, update_beta, update_rotation
 from mvfuse.linalg import procrustes_max
 from mvfuse.metrics import accuracy, hungarian, kmeans, nmi, purity
@@ -275,21 +275,20 @@ def test_criterion_6_multiplicative_monotonicity():
     for _ in range(20):
         z = [rng.standard_normal((12, 6)), rng.standard_normal((6, 3))]
         hm = rng.uniform(0.05, 1.0, size=(3, 15))
-        vf = ViewFactorization(x=rng.standard_normal((12, 15)), basis=z[0] @ z[1], h=hm)
+        x, phi = rng.standard_normal((12, 15)), z[0] @ z[1]
         consensus = _row_orthonormal(rng, 3, 15)
         rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         alpha_v, beta_v, lam = 0.7, 0.6, 1.5
-        phi = vf.basis
 
         def value(m):
-            recon = np.linalg.norm(vf.x - phi @ m) ** 2
+            recon = np.linalg.norm(x - phi @ m) ** 2
             align = float(np.sum(m * (rotation @ consensus)))
             return alpha_v**2 * recon - lam * beta_v * align
 
-        prev = value(vf.h)
+        prev = value(hm)
         for _ in range(50):
-            vf.h = update_partition(vf, consensus, rotation, alpha_v, beta_v, lam)
-            cur = value(vf.h)
+            hm = update_partition(x, phi, hm, consensus, rotation, alpha_v, beta_v, lam)
+            cur = value(hm)
             partition_ok &= cur <= prev + slack
             prev = cur
 

@@ -718,8 +718,18 @@ def test_fit_commands_name_the_flag_of_an_unparsable_value(tmp_path, capsys, arg
     (GRID + ["--schemes", "p2", "--p2-l1", ","], "--p2-l1"),
     (GRID + ["--p3-l2", ""], "--p3-l2"),
     (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", ","], "--dims"),
+    (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", "6,,3"], "--dims"),
+    (GRID + ["--lambdas", "0.5,,1"], "--lambdas"),
+    (GRID + ["--schemes", "p2,"], "--schemes"),
+    (GRID + ["--lambdas", "1,1.0", "--schemes", "p2", "--p2-l1", "2"], "--lambdas"),
+    (GRID + ["--schemes", "p2,p2"], "--schemes"),
+    (GRID + ["--schemes", "p2", "--p2-l1", "2,2"], "--p2-l1"),
+    (GRID + ["--schemes", "p3", "--p3-l1", "8,8"], "--p3-l1"),
+    (GRID + ["--p3-l2", "4,4"], "--p3-l2"),
 ], ids=["lambdas-comma", "lambdas-blank", "schemes-comma", "p2-l1-comma", "p3-l2-blank",
-        "dims-comma"])
+        "dims-comma", "dims-empty-item", "lambdas-empty-item", "schemes-trailing-comma",
+        "lambdas-repeated", "schemes-repeated", "p2-l1-repeated", "p3-l1-repeated",
+        "p3-l2-repeated"])
 def test_fit_commands_name_the_flag_of_an_empty_list(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.setattr(cli_module, "fit", lambda *a: pytest.fail("a fit ran"))
     _assert_names_flag(tmp_path, capsys, argv, flag)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import _row_orthonormal
-from mvfuse.deep import ViewFactorization, reconstruction_loss
+from mvfuse.deep import reconstruction_loss
 from mvfuse.fusion import (
     FusionState,
     objective,
@@ -255,7 +255,7 @@ def test_beta_beats_unit_circle_grid():
 
 
 def _exact_view(rng, d, k, n):
-    """Perfect one-layer factorization with a row-orthonormal partition."""
+    """(x, basis, h) of a perfect one-layer factorization with a row-orthonormal partition."""
     # Disjoint non-negative rows scaled to unit norm are row-orthonormal.
     h = np.zeros((k, n))
     for i in range(k):
@@ -263,21 +263,21 @@ def _exact_view(rng, d, k, n):
         h[i, cols] = 1.0
     h /= np.linalg.norm(h, axis=1, keepdims=True)
     z = rng.standard_normal((d, k))
-    return ViewFactorization(x=z @ h, basis=z, h=h)
+    return z @ h, z, h
 
 
 def test_objective_pure_alignment_equals_minus_lam_k():
     rng = np.random.default_rng(83)
-    vf = _exact_view(rng, d=8, k=3, n=24)
+    x, basis, h = _exact_view(rng, d=8, k=3, n=24)
     state = FusionState(
-        h=vf.h.copy(),
+        h=h.copy(),
         w=[np.eye(3)],
         alpha=np.array([1.0]),
         beta=np.array([1.0]),
     )
     lam = 0.7
-    losses = [reconstruction_loss(vf)]
-    _, traces = update_beta([vf.h], state.w, state.h)
+    losses = [reconstruction_loss(x, basis, h)]
+    _, traces = update_beta([h], state.w, state.h)
     assert np.isclose(objective(losses, traces, state, lam), -lam * 3.0, atol=1e-12)
 
 
@@ -288,7 +288,7 @@ def test_objective_matches_term_by_term_recomputation():
         z = [rng.standard_normal((d, 5)), rng.standard_normal((5, 3))]
         h = [rng.uniform(0.05, 1.0, size=(5, 20)), rng.uniform(0.05, 1.0, size=(3, 20))]
         x = rng.standard_normal((d, 20))
-        views.append(ViewFactorization(x=x, basis=z[0] @ z[1], h=h[1]))
+        views.append((x, z[0] @ z[1], h[1]))
     state = FusionState(
         h=_row_orthonormal(rng, 3, 20),
         w=[np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)],
@@ -297,12 +297,12 @@ def test_objective_matches_term_by_term_recomputation():
     )
     lam = 1.3
     expected = 0.0
-    for a, b, w, vf in zip(state.alpha, state.beta, state.w, views):
-        recon = np.linalg.norm(vf.x - vf.basis @ vf.h, "fro") ** 2
-        align = np.trace(vf.h.T @ w @ state.h)
+    for a, b, w, (x, basis, hm) in zip(state.alpha, state.beta, state.w, views):
+        recon = np.linalg.norm(x - basis @ hm, "fro") ** 2
+        align = np.trace(hm.T @ w @ state.h)
         expected += a * a * recon - lam * b * align
-    losses = [reconstruction_loss(vf) for vf in views]
-    _, traces = update_beta([vf.h for vf in views], state.w, state.h)
+    losses = [reconstruction_loss(*view) for view in views]
+    _, traces = update_beta([hm for _, _, hm in views], state.w, state.h)
     assert np.isclose(objective(losses, traces, state, lam), expected, rtol=1e-12)
 
 

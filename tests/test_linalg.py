@@ -121,9 +121,12 @@ def test_gram_inverse_condition_limit(margin, accepted):
 
 
 def test_pos_neg_part_split():
-    a = np.array([[1.0, -2.0]])
-    assert np.array_equal(pos_part(a), [[1.0, 0.0]])
-    assert np.array_equal(neg_part(a), [[0.0, 2.0]])
+    a = np.array([[1.0, -2.0, 1e308, -1e308, -0.0, 0.0]])
+    with np.errstate(all="raise"):  # no overflow at the ends of the float range
+        p, n = pos_part(a), neg_part(a)
+    assert np.array_equal(p, [[1.0, 0.0, 1e308, 0.0, 0.0, 0.0]])
+    assert np.array_equal(n, [[0.0, 2.0, 0.0, 1e308, 0.0, 0.0]])
+    assert not np.signbit(p).any() and not np.signbit(n).any()  # no -0.0 from -0.0 or 0.0
 
 
 def test_pos_neg_part_identities():

@@ -9,7 +9,7 @@ import mvfuse.fusion as fusion_module
 import mvfuse.pipeline as pipeline_module
 import mvfuse.seminmf as seminmf_module
 from mvfuse.data import MultiViewDataset, generate_synthetic, normalize_dataset
-from mvfuse.deep import reconstruction_loss
+from mvfuse.deep import reconstruction_loss, update_basis
 from mvfuse.fusion import update_consensus
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import (
@@ -74,34 +74,34 @@ def test_check_convergence():
 
 def test_init_state_starts_from_neutral_weights():
     ds = _small_dataset()
-    views, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
-    assert len(views) == 2
+    partitions, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
+    assert len(partitions) == 2
     assert np.allclose(state.alpha, [0.5, 0.5])
     assert np.allclose(state.beta, np.full(2, 1.0 / np.sqrt(2.0)))
     for w in state.w:
         assert np.array_equal(w, np.eye(3))
     assert state.h is None  # fit's first consensus step computes it
-    for vf in views:
-        assert np.allclose(np.linalg.norm(vf.h, axis=1), 1.0, atol=1e-12)
-        assert vf.h.min() >= 0
+    for hm in partitions:
+        assert np.allclose(np.linalg.norm(hm, axis=1), 1.0, atol=1e-12)
+        assert hm.min() >= 0
 
 
 def test_init_state_is_deterministic():
     ds = _small_dataset()
     hp = HyperParams(lam=1.0, dims=[6, 3], seed=4)
-    views_a, state_a = init_state(ds, hp)
-    views_b, state_b = init_state(ds, hp)
-    for va, vb in zip(views_a, views_b):
-        assert np.array_equal(va.h, vb.h)
+    partitions_a, state_a = init_state(ds, hp)
+    partitions_b, state_b = init_state(ds, hp)
+    for ha, hb in zip(partitions_a, partitions_b):
+        assert np.array_equal(ha, hb)
     assert np.array_equal(state_a.h, state_b.h)
 
 
 def test_init_state_seeds_views_independently():
     ds = _small_dataset()
-    views, _ = init_state(ds, HyperParams(lam=1.0, dims=[6, 3], seed=4))
+    partitions, _ = init_state(ds, HyperParams(lam=1.0, dims=[6, 3], seed=4))
     # same widths, different pretraining randomness per view
-    assert views[0].h.shape == views[1].h.shape
-    assert not np.allclose(views[0].h, views[1].h)
+    assert partitions[0].shape == partitions[1].shape
+    assert not np.allclose(partitions[0], partitions[1])
 
 
 def test_every_kmeans_call_of_a_fit_takes_its_seed_from_the_layout(monkeypatch):
@@ -207,19 +207,21 @@ def test_fit_is_bitwise_deterministic():
 
 def _healthy_record_inputs():
     ds = _small_dataset()
-    views, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
-    state.h, _ = update_consensus([vf.h for vf in views], state.w, state.beta)
-    losses = np.array([reconstruction_loss(vf) for vf in views])
-    return views, state, losses
+    partitions, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
+    state.h, _ = update_consensus(partitions, state.w, state.beta)
+    losses = np.array([
+        reconstruction_loss(x, update_basis(x, hm), hm) for x, hm in zip(ds.views, partitions)
+    ])
+    return partitions, state, losses
 
 
-def _poison_partition(views, state):
-    views[1].h = views[1].h.copy()
-    views[1].h[2, 5] = np.nan  # gives min_h_entry = nan
+def _poison_partition(partitions, state):
+    partitions[1] = partitions[1].copy()
+    partitions[1][2, 5] = np.nan  # gives min_h_entry = nan
     return -1.0
 
 
-def _poison_consensus(views, state):
+def _poison_consensus(partitions, state):
     state.h = np.full_like(state.h, np.nan)  # gives h_residual = nan
     return np.nan  # and a NaN objective
 
@@ -227,15 +229,15 @@ def _poison_consensus(views, state):
 @pytest.mark.parametrize("poison", [
     _poison_partition,
     _poison_consensus,
-    lambda views, state: np.nan,
-    lambda views, state: -np.inf,
+    lambda partitions, state: np.nan,
+    lambda partitions, state: -np.inf,
 ], ids=["nan-partition", "nan-consensus", "nan-objective", "infinite-objective"])
 def test_record_fails_closed_on_non_finite_values(poison):
-    views, state, losses = _healthy_record_inputs()
-    pipeline_module._record(views, state, -1.0, losses, False, [False, False], 4)  # healthy: passes
-    obj = poison(views, state)
+    partitions, state, losses = _healthy_record_inputs()
+    pipeline_module._record(partitions, state, -1.0, losses, False, [False, False], 4)  # healthy
+    obj = poison(partitions, state)
     with pytest.raises(NumericalError, match="^iteration 4, constraint check: "):
-        pipeline_module._record(views, state, obj, losses, False, [False, False], 4)
+        pipeline_module._record(partitions, state, obj, losses, False, [False, False], 4)
 
 
 def test_fit_names_the_failing_block(monkeypatch):
@@ -252,9 +254,9 @@ def test_fit_names_the_failing_block(monkeypatch):
 def test_fit_computes_each_view_loss_once_per_iteration(monkeypatch):
     calls = []
 
-    def counting(vf):
-        calls.append(vf)
-        return reconstruction_loss(vf)
+    def counting(*view):
+        calls.append(view)
+        return reconstruction_loss(*view)
 
     monkeypatch.setattr(pipeline_module, "reconstruction_loss", counting)
     monkeypatch.setattr(fusion_module, "reconstruction_loss", counting)
@@ -268,9 +270,9 @@ def test_fit_takes_uniform_alpha_once_every_view_reconstructs_exactly(monkeypatc
     ds = _small_dataset()
     calls = []
 
-    def vanishing(vf):
-        calls.append(vf)
-        return reconstruction_loss(vf) if len(calls) <= ds.num_views else 0.0
+    def vanishing(*view):
+        calls.append(view)
+        return reconstruction_loss(*view) if len(calls) <= ds.num_views else 0.0
 
     monkeypatch.setattr(pipeline_module, "reconstruction_loss", vanishing)
     res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=4))
@@ -402,10 +404,9 @@ def _counting_pretrain(monkeypatch):
 
 
 def _assert_same_start(got, expect):
-    (views, state), (views_e, state_e) = got, expect
-    for vf, vf_e in zip(views, views_e, strict=True):
-        for a, b in zip([vf.x, vf.basis, vf.h], [vf_e.x, vf_e.basis, vf_e.h], strict=True):
-            assert np.array_equal(a, b)
+    (partitions, state), (partitions_e, state_e) = got, expect
+    for a, b in zip(partitions, partitions_e, strict=True):
+        assert np.array_equal(a, b)
     for a, b in zip([state.h, state.alpha, state.beta, *state.w],
                     [state_e.h, state_e.alpha, state_e.beta, *state_e.w], strict=True):
         assert np.array_equal(a, b)
@@ -435,7 +436,26 @@ def test_a_fine_tune_leaves_the_shared_start_unchanged():
         again = init_state(ds, hp)
     _assert_same_start(first, before)
     _assert_same_start(again, before)
-    assert again[0][0] is not first[0][0] and again[1].w is not first[1].w
+    assert again[0] is not first[0] and again[1].w is not first[1].w
+
+
+def test_fits_from_a_read_only_shared_start_equal_fits_outside_the_block(monkeypatch):
+    # No update writes into a view or a partition, so fits may share them.
+    ds = _small_dataset()
+    hps = [HyperParams(lam=lam, dims=[6, 3], max_iter=8) for lam in (0.25, 4.0)]
+    alone = [fit(ds, hp) for hp in hps]
+    calls = _counting_pretrain(monkeypatch)
+    for x in ds.views:
+        x.flags.writeable = False
+    with shared_pretraining():
+        for hm in init_state(ds, hps[0])[0]:
+            hm.flags.writeable = False
+        shared = [fit(ds, hp) for hp in hps]
+    assert len(calls) == ds.num_views
+    for a, b in zip(shared, alone, strict=True):
+        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.objectives, b.objectives)
 
 
 def test_a_shared_start_runs_no_pretraining_and_no_consensus_step(monkeypatch):
@@ -457,10 +477,8 @@ def test_a_shared_start_runs_no_pretraining_and_no_consensus_step(monkeypatch):
     assert (len(pretrains), len(consensus)) == (ds.num_views, 0)
     assert first[1].h is None and again[1].h is None
     _assert_same_start(again, first)
-    (views, state), (views_a, state_a) = first, again
-    assert state_a.w is not state.w
-    for vf, vf_a in zip(views, views_a, strict=True):
-        assert vf_a is not vf
+    (partitions, state), (partitions_a, state_a) = first, again
+    assert state_a.w is not state.w and partitions_a is not partitions
 
 
 @pytest.mark.parametrize("change", ["dataset", "dims", "seed", "pretrain_iters"])

@@ -5,8 +5,9 @@ imports mvfuse from the `src` directory next to it, so running it in two
 checkouts and comparing the outputs with `diff` shows whether a change moved
 any of these outputs:
 
-- six fits: the h, labels and objective trace of each, plus its iteration
-  count and final objective;
+- six fits: the h, labels and objective trace of each, its per-iteration
+  per-view reconstruction losses, alpha and beta, and its iteration count
+  and final objective;
 - `eval`'s stdout for the labels of the first fit against its ground truth;
 - `run --manifest` on the benchmark dataset saved as text: its stdout (with
   the output directory masked), `results.tsv`, `objective_trace.txt` and
@@ -14,7 +15,8 @@ any of these outputs:
 - `grid.tsv` of the grid-deep benchmark argv at `--seed` 0 and 1, and at
   `--seed` 0 with `--threads 1`, the serial path.
 
-A fit takes a few seconds; the whole script under a minute on 2 cores.
+It prints 38 lines. A fit takes a few seconds; the whole script under a
+minute on 2 cores.
 Digests hold only at a fixed BLAS thread count (see README).
 """
 
@@ -26,6 +28,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -96,6 +100,8 @@ def fit_lines(name, *config):
     yield f"{name} h {sha(res.h.tobytes())}"
     yield f"{name} labels {sha(res.labels.tobytes())}"
     yield f"{name} objectives {sha(res.objectives.tobytes())}"
+    history = np.array([[*rec.recon_losses, *rec.alpha, *rec.beta] for rec in res.history])
+    yield f"{name} history {sha(history.tobytes())}"
     yield f"{name} iterations {res.iterations_run} final {float(res.objectives[-1])!r}"
     if name == EVAL_FIT:
         with tempfile.TemporaryDirectory() as tmp:
