@@ -47,7 +47,7 @@ def layer_schemes(k, kinds=SCHEME_KINDS, p2_l1=P2_L1_MULTIPLIERS,
     """
     for kind in kinds:
         if kind not in SCHEME_KINDS:
-            raise ValueError(f"scheme kinds must be {' or '.join(SCHEME_KINDS)}, got {kind!r}")
+            raise ValueError(f"--schemes items must be {' or '.join(SCHEME_KINDS)}, got {kind!r}")
     families = {
         "p2": [[c * k, k] for c in p2_l1],
         "p3": [[c1 * k, c2 * k, k] for c1 in p3_l1 for c2 in p3_l2],
@@ -72,8 +72,9 @@ def _fmt(x) -> str:
 
 
 def _parse_list(text, flag, parse=int):
-    """The values of a comma-separated list flag: no item empty, no value repeated."""
-    items = str(text).split(",")
+    """The values of a comma-separated list flag: spaces around an item are
+    ignored, no item is empty and no value is repeated."""
+    items = [t.strip() for t in str(text).split(",")]
     try:
         values = [] if "" in items else [parse(t) for t in items]
     except ValueError:

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from mvfuse.linalg import as_matrix
+from mvfuse.metrics import as_labels
 
 MAGIC = b"MVMATRIX"
 
@@ -69,7 +70,7 @@ class MultiViewDataset:
                 raise ValueError(f"dataset {self.name!r}: view {i} is all zeros")
             self.views[i] = x
         if self.truth is not None:
-            truth = np.asarray(self.truth, dtype=np.int64)
+            truth = as_labels(self.truth, f"dataset {self.name!r}: truth labels")
             if truth.shape != (n,):
                 raise ValueError(
                     f"dataset {self.name!r}: truth has shape {truth.shape}, expected ({n},)"
@@ -218,7 +219,7 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels, f"labels for {path}")
     Path(path).write_text("\n".join(str(v) for v in labels) + "\n")
 
 

@@ -47,11 +47,11 @@ def pretrain_view(x, dims, iters: int, seeds) -> np.ndarray:
     """Greedy layer-wise pretraining: factorize x, then each representation in turn.
 
     Layer j is seeded by k-means with seed seeds[j]; there is one seed per width.
-    Returns the last layer's representation h_m; the layer bases are dropped.
+    Returns the last layer's representation h_m.
     """
     h = as_matrix(x, "x")
     for width, seed in zip(dims, seeds, strict=True):
-        _, h = fit_layer(h, width, iters=iters, seed=seed)
+        h = fit_layer(h, width, iters=iters, seed=seed)
     return h
 
 

@@ -4,37 +4,17 @@ The consensus h is a row-orthonormal k x n matrix chasing every view's
 partition through a per-view rotation w; alpha weights reconstruction
 quality, beta weights alignment quality. Each step is its block's exact
 optimum; alpha's holds even when every view reconstructs exactly, and
-beta's even when no view aligns positively.
+beta's even when no view aligns positively. Every step is a function of
+plain arrays; pipeline.fit holds h, w, alpha and beta between steps.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 # Unused here; kept because the benchmark's tracer wraps this module attribute.
 from mvfuse.deep import reconstruction_loss  # noqa: F401
 from mvfuse.linalg import as_matrix, procrustes_max
-
-
-@dataclass
-class FusionState:
-    h: np.ndarray | None  # k x n consensus, h @ h.T == I; None until the first consensus step
-    w: list               # per-view k x k rotations, w @ w.T == I
-    alpha: np.ndarray     # view weights on reconstruction, simplex
-    beta: np.ndarray      # view weights on alignment, unit l2 norm, >= 0
-
-    def residuals(self) -> dict:
-        """Constraint violations, all ~0 for a healthy state."""
-        k = self.h.shape[0]
-        eye = np.eye(k)
-        return {
-            "h": float(np.linalg.norm(self.h @ self.h.T - eye)),
-            "w": [float(np.linalg.norm(w @ w.T - eye)) for w in self.w],
-            "alpha": float(abs(self.alpha.sum() - 1.0)),
-            "beta": float(abs(np.linalg.norm(self.beta) - 1.0)),
-        }
 
 
 def update_consensus(partitions, rotations, beta):
@@ -117,11 +97,12 @@ def update_beta(partitions, rotations, consensus):
     return clamped / norm, f
 
 
-def objective(losses, traces, state: FusionState, lam: float) -> float:
+def objective(losses, traces, alpha, beta, lam: float) -> float:
     """Weighted reconstruction cost minus lam times the weighted alignment trace.
 
-    Takes the per-view losses and traces the alpha and beta steps computed.
+    Takes the per-view losses and traces the alpha and beta steps computed,
+    and the weights alpha and beta those steps returned.
     """
-    recon = sum(a * a * loss for a, loss in zip(state.alpha, losses))
-    align = sum(b * f for b, f in zip(state.beta, traces))
+    recon = sum(a * a * loss for a, loss in zip(alpha, losses))
+    align = sum(b * f for b, f in zip(beta, traces))
     return float(recon - lam * align)

@@ -242,9 +242,19 @@ def hungarian(cost) -> np.ndarray:
     return perm
 
 
+def as_labels(labels, name: str) -> np.ndarray:
+    """labels as int64; a float that is not a whole number (0.7, NaN) is an error naming name."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        bad = ~np.isfinite(labels) | (labels != np.trunc(labels))
+        if bad.any():
+            raise ValueError(f"{name} must be whole numbers, got {labels[bad].flat[0].item()!r}")
+    return labels.astype(np.int64)
+
+
 def _check_labels(pred, truth):
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred = as_labels(pred, "predicted labels")
+    truth = as_labels(truth, "true labels")
     if pred.ndim != 1 or truth.ndim != 1:
         raise ValueError("label vectors must be 1-d")
     if pred.shape[0] != truth.shape[0]:

@@ -1,12 +1,14 @@
 """End-to-end fit: pretrain, alternate the six update blocks, cluster.
 
-From a start that is pretraining alone, one outer iteration runs, in order:
-the consensus step, a fine-tuning sweep of every view (basis refit,
-partition step), the per-view rotation steps, the alpha step, and the beta
-step; iteration 0's consensus step is the first. Layer depth acts through
-pretraining alone: a view's state is its partition h_m, and each sweep
-refits the view's one basis as x pinv(h_m), used for that sweep's step and
-reconstruction loss and then dropped.
+init_state is pretraining alone. fit then starts fusion from neutral weights
+(identity rotations, uniform alpha and beta, no consensus yet) and holds the
+consensus h, the rotations w, alpha and beta as plain arrays. One outer
+iteration runs, in order: the consensus step, a fine-tuning sweep of every
+view (basis refit, partition step), the per-view rotation steps, the alpha
+step, and the beta step; iteration 0's consensus step is the first. Layer
+depth acts through pretraining alone: a view's state is its partition h_m,
+and each sweep refits the view's one basis as x pinv(h_m), used for that
+sweep's step and reconstruction loss and then dropped.
 The joint objective is recorded after the beta step; from iteration 1 on,
 the loop stops when its relative change falls below tol (check_convergence),
 else after max_iter iterations. score_labels is the one scorer of labels
@@ -30,7 +32,6 @@ from mvfuse.deep import (
     validate_layer_dims,
 )
 from mvfuse.fusion import (
-    FusionState,
     objective,
     update_alpha,
     update_beta,
@@ -153,28 +154,22 @@ def shared_pretraining():
         _shared.memo = None
 
 
-def init_state(dataset: MultiViewDataset, hp: HyperParams):
-    """Pretrain every view, then start fusion from neutral weights.
+def init_state(dataset: MultiViewDataset, hp: HyperParams) -> list:
+    """Pretrain every view: the list of each view's gauge-fixed partition h_m.
 
-    Returns each view's gauge-fixed partition h_m and the fusion state.
-    Rotations start at identity, alpha uniform, beta uniform on the unit
-    sphere, and the consensus is None: fit's first consensus step computes
-    it. Pretraining is greedy and layer-wise, so it never sees the alignment
+    This is pretraining alone; fit starts fusion from neutral weights.
+    Pretraining is greedy and layer-wise, so it never sees the alignment
     term: hp.lam is never read here. Inside a shared_pretraining() block the
     partitions are memoised per (dataset, dims, seed, pretrain_iters), with
     the dataset object itself as the key, and a later call with the same key
     starts from them without pretraining. No update writes into a partition,
-    so calls share them; every call returns a new list, rotations and weights.
+    so calls share them; every call returns a new list.
     """
     hp.validate()
     dataset.validate()
     dims = validate_layer_dims(
         hp.dims, dataset.k, [x.shape[0] for x in dataset.views], dataset.n
     )
-    nviews = dataset.num_views
-    w = [np.eye(dataset.k) for _ in range(nviews)]
-    alpha = np.full(nviews, 1.0 / nviews)
-    beta = np.full(nviews, 1.0 / np.sqrt(nviews))
     memo = getattr(_shared, "memo", None)
     key = (dataset, tuple(dims), hp.seed, hp.pretrain_iters)
     if memo is not None and key in memo:
@@ -188,20 +183,21 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams):
         ]
         if memo is not None:
             memo[key] = partitions
-    return list(partitions), FusionState(h=None, w=w, alpha=alpha, beta=beta)
+    return list(partitions)
 
 
-def _record(partitions, state, obj, losses, consensus_degenerate, rotation_degenerate, it):
-    res = state.residuals()
+def _record(partitions, h, w, alpha, beta, obj, losses, consensus_degenerate,
+            rotation_degenerate, it):
+    eye = np.eye(h.shape[0])
     rec = IterationRecord(
         objective=obj,
         recon_losses=losses,
-        alpha=state.alpha.copy(),
-        beta=state.beta.copy(),
-        h_residual=res["h"],
-        w_residuals=np.array(res["w"]),
-        alpha_residual=res["alpha"],
-        beta_residual=res["beta"],
+        alpha=alpha,
+        beta=beta,
+        h_residual=float(np.linalg.norm(h @ h.T - eye)),
+        w_residuals=np.array([float(np.linalg.norm(wv @ wv.T - eye)) for wv in w]),
+        alpha_residual=float(abs(alpha.sum() - 1.0)),
+        beta_residual=float(abs(np.linalg.norm(beta) - 1.0)),
         min_h_entry=float(np.min([hm.min() for hm in partitions])),  # NaN-propagating
         consensus_degenerate=consensus_degenerate,
         rotation_degenerate=np.array(rotation_degenerate),
@@ -224,43 +220,46 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
     when the dataset carries ground truth -- acc/nmi/pur scores. Numerical
     failure in any block aborts with the iteration and block named.
     """
-    partitions, state = init_state(dataset, hp)
+    partitions = init_state(dataset, hp)
+    # Neutral start: no consensus yet, identity rotations, uniform alpha and beta.
+    nviews = dataset.num_views
+    h = None
+    w = [np.eye(dataset.k) for _ in range(nviews)]
+    alpha = np.full(nviews, 1.0 / nviews)
+    beta = np.full(nviews, 1.0 / np.sqrt(nviews))
     history = []
     for it in range(hp.max_iter):
         stage = "consensus"
         try:
-            h, consensus_degenerate = update_consensus(partitions, state.w, state.beta)
-            if not consensus_degenerate or state.h is None:
-                state.h = h  # a first consensus has no previous one to keep
+            consensus, consensus_degenerate = update_consensus(partitions, w, beta)
+            if not consensus_degenerate or h is None:
+                h = consensus  # a first consensus has no previous one to keep
             stage = "view sweep"
-            losses = np.empty(dataset.num_views)
+            losses = np.empty(nviews)
             for v, x in enumerate(dataset.views):
                 basis, partitions[v] = sweep_view(
-                    x, partitions[v], state.h, state.w[v], state.alpha[v], state.beta[v], hp.lam
+                    x, partitions[v], h, w[v], alpha[v], beta[v], hp.lam
                 )
                 losses[v] = reconstruction_loss(x, basis, partitions[v])
             stage = "rotation"
             rotation_degenerate = []
             for v, hm in enumerate(partitions):
-                w_new, degenerate = update_rotation(hm, state.h, state.beta[v])
+                w_new, degenerate = update_rotation(hm, h, beta[v])
                 if not degenerate:
-                    state.w[v] = w_new
+                    w[v] = w_new
                 rotation_degenerate.append(degenerate)
             stage = "alpha"
-            state.alpha = update_alpha(losses)
+            alpha = update_alpha(losses)
             stage = "beta"
-            state.beta, traces = update_beta(partitions, state.w, state.h)
+            beta, traces = update_beta(partitions, w, h)
             stage = "objective"
-            obj = objective(losses, traces, state, hp.lam)
+            obj = objective(losses, traces, alpha, beta, hp.lam)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}, {stage} block: {exc}") from exc
-        history.append(
-            _record(partitions, state, obj, losses, consensus_degenerate, rotation_degenerate, it)
-        )
+        history.append(_record(partitions, h, w, alpha, beta, obj, losses,
+                               consensus_degenerate, rotation_degenerate, it))
         if it > 0 and check_convergence(history[-2].objective, history[-1].objective, hp.tol):
             break
-    labels = kmeans(
-        state.h.T, dataset.k, restarts=hp.kmeans_restarts, seed=kmeans_seed(hp.seed)
-    )
+    labels = kmeans(h.T, dataset.k, restarts=hp.kmeans_restarts, seed=kmeans_seed(hp.seed))
     scores = None if dataset.truth is None else score_labels(labels, dataset.truth)
-    return FitResult(h=state.h, labels=labels, history=history, scores=scores)
+    return FitResult(h=h, labels=labels, history=history, scores=scores)

@@ -4,12 +4,12 @@ The h step is the multiplicative rule of Ding et al. (2010), which never
 increases ||x - z h||_F^2; the z step is the exact least-squares refit
 z = x pinv(h), computed as Ding et al. write it, x h^T (h h^T)^-1, through
 the small l x l Gram. An ill-conditioned or singular Gram (a zero or
-repeated row of h) falls back to the SVD pinv.
+repeated row of h) falls back to the SVD pinv. A pretraining layer is h
+alone: init_layer seeds it and fit_layer returns it, and every step
+re-derives the basis from h, so no layer hands a basis on.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +21,6 @@ EPS = 1e-10
 
 # Restart count for the k-means seeding of init_layer.
 INIT_KMEANS_RESTARTS = 10
-
-
-class LayerFactors(NamedTuple):
-    z: np.ndarray  # d x l basis, mixed signs allowed
-    h: np.ndarray  # l x n representation, entrywise >= 0
 
 
 def multiplicative_step(x, basis, h, weight=1.0, pull=None):
@@ -52,11 +47,11 @@ def refit_basis(x, h) -> np.ndarray:
     return x @ pinv(h) if inv is None else (x @ h.T) @ inv
 
 
-def init_layer(x, width: int, seed: int) -> LayerFactors:
-    """Seed one layer from k-means on the columns of x.
+def init_layer(x, width: int, seed: int) -> np.ndarray:
+    """Seed one layer's representation h from k-means on the columns of x.
 
     h is the cluster indicator matrix plus a 0.2 offset (strictly positive,
-    so no row is all zero), and z is the least-squares basis for that h.
+    so no row is all zero).
     """
     x = as_matrix(x, "x")
     d, n = x.shape
@@ -65,16 +60,14 @@ def init_layer(x, width: int, seed: int) -> LayerFactors:
     labels = kmeans(x.T, width, restarts=INIT_KMEANS_RESTARTS, seed=seed)
     h = np.full((width, n), 0.2)
     h[labels, np.arange(n)] += 1.0
-    return LayerFactors(z=refit_basis(x, h), h=h)
+    return h
 
 
-def fit_layer(x, width: int, iters: int, seed: int) -> LayerFactors:
-    """Alternate h steps and exact z refits; init_layer's z is already fit to the seeded h."""
+def fit_layer(x, width: int, iters: int, seed: int) -> np.ndarray:
+    """Seed h by init_layer, then alternate exact basis refits and h steps; returns h."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    z, h = init_layer(x, width, seed=seed)
-    for t in range(iters):
-        if t > 0:
-            z = refit_basis(x, h)
-        h = multiplicative_step(x, z, h)
-    return LayerFactors(z=z, h=h)
+    h = init_layer(x, width, seed=seed)
+    for _ in range(iters):
+        h = multiplicative_step(x, refit_basis(x, h), h)
+    return h

@@ -62,7 +62,7 @@ def test_layer_schemes_cover_two_and_three_layer_families():
     assert [24, 12, 3] in schemes and [36, 18, 3] in schemes
     assert len(schemes) == 3 + 9
     assert layer_schemes(3, kinds=("p2",)) == [[12, 3], [15, 3], [18, 3]]
-    with pytest.raises(ValueError, match=r"^scheme kinds must be p2 or p3, got 'p4'$"):
+    with pytest.raises(ValueError, match=r"^--schemes items must be p2 or p3, got 'p4'$"):
         layer_schemes(3, kinds=("p4",))
 
 
@@ -528,10 +528,10 @@ def test_grid_fails_only_the_cell_of_a_failing_lambda(tmp_path, monkeypatch, cap
     assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
     real = pipeline_module.objective
 
-    def failing(losses, traces, state, lam):
+    def failing(losses, traces, alpha, beta, lam):
         if lam == 0.5:
             raise NumericalError("forced")
-        return real(losses, traces, state, lam)
+        return real(losses, traces, alpha, beta, lam)
 
     monkeypatch.setattr(pipeline_module, "objective", failing)
     capsys.readouterr()
@@ -726,13 +726,25 @@ def test_fit_commands_name_the_flag_of_an_unparsable_value(tmp_path, capsys, arg
     (GRID + ["--schemes", "p2", "--p2-l1", "2,2"], "--p2-l1"),
     (GRID + ["--schemes", "p3", "--p3-l1", "8,8"], "--p3-l1"),
     (GRID + ["--p3-l2", "4,4"], "--p3-l2"),
+    (GRID + ["--schemes", "p2, "], "--schemes"),
+    (GRID + ["--schemes", "p2,p4"], "--schemes"),
 ], ids=["lambdas-comma", "lambdas-blank", "schemes-comma", "p2-l1-comma", "p3-l2-blank",
         "dims-comma", "dims-empty-item", "lambdas-empty-item", "schemes-trailing-comma",
         "lambdas-repeated", "schemes-repeated", "p2-l1-repeated", "p3-l1-repeated",
-        "p3-l2-repeated"])
+        "p3-l2-repeated", "schemes-blank-item", "schemes-unknown"])
 def test_fit_commands_name_the_flag_of_an_empty_list(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.setattr(cli_module, "fit", lambda *a: pytest.fail("a fit ran"))
     _assert_names_flag(tmp_path, capsys, argv, flag)
+
+
+@pytest.mark.parametrize("argv, dims", [
+    (GRID + ["--lambdas", " 1 ", "--schemes", "p2, p3", "--p2-l1", " 2", "--p3-l1", "3 ",
+             "--p3-l2", " 2 "], ["6,3", "9,6,3"]),
+], ids=["schemes-spaced"])
+def test_fit_commands_ignore_spaces_around_list_items(tmp_path, argv, dims):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    _, rows = _read_rows(tmp_path / "out" / "grid.tsv")
+    assert [(r["lambda"], r["dims"], r["status"]) for r in rows] == [("1", d, "ok") for d in dims]
 
 
 def test_grid_file_does_not_depend_on_thread_count(tmp_path):

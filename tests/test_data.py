@@ -196,6 +196,11 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "truth.txt"
     write_labels(path, labels)
     assert np.array_equal(read_labels(path), labels)
+    write_labels(path, labels.astype(float))  # whole floats write as integers
+    assert np.array_equal(read_labels(path), labels)
+    with pytest.raises(ValueError, match="half.txt must be whole numbers, got 0.5$"):
+        write_labels(tmp_path / "half.txt", [0.5, 1.0])
+    assert not (tmp_path / "half.txt").exists()
 
 
 def test_read_labels_rejects_non_integers(tmp_path):
@@ -372,6 +377,11 @@ def test_dataset_validation_errors():
     bad_range[0] = 3
     with pytest.raises(ValueError, match=r"truth labels must lie in \[0, 3\)"):
         MultiViewDataset(views=good.views, truth=bad_range, k=3).validate()
+    fractional = good.truth + 0.7  # 0.7, 1.7, 2.7 must not truncate to 0, 1, 2
+    with pytest.raises(ValueError, match="^dataset 'x': truth labels must be whole numbers, got "):
+        MultiViewDataset(views=good.views, truth=fractional, k=3, name="x").validate()
+    whole = MultiViewDataset(views=good.views, truth=good.truth.astype(float), k=3).validate()
+    assert whole.truth.dtype == np.int64 and np.array_equal(whole.truth, good.truth)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_pretrain_single_layer_equals_fit_layer():
     x = rng.standard_normal((12, 30))
     h = pretrain_view(x, [4], iters=25, seeds=[11])
     assert isinstance(h, np.ndarray)
-    assert np.array_equal(h, fit_layer(x, 4, iters=25, seed=11).h)
+    assert np.array_equal(h, fit_layer(x, 4, iters=25, seed=11))
 
 
 @pytest.mark.parametrize("dims", [[4], [8, 4], [10, 6, 3]])
@@ -84,7 +84,7 @@ def test_pretrain_returns_the_last_representation_of_the_layer_chain(dims):
     got = pretrain_view(x, dims, iters=10, seeds=seeds)
     h = x
     for width, seed in zip(dims, seeds):
-        _, h = fit_layer(h, width, iters=10, seed=seed)
+        h = fit_layer(h, width, iters=10, seed=seed)
     assert np.array_equal(got, h)
 
 

@@ -4,7 +4,6 @@ import pytest
 from conftest import _row_orthonormal
 from mvfuse.deep import reconstruction_loss
 from mvfuse.fusion import (
-    FusionState,
     objective,
     update_alpha,
     update_beta,
@@ -269,16 +268,11 @@ def _exact_view(rng, d, k, n):
 def test_objective_pure_alignment_equals_minus_lam_k():
     rng = np.random.default_rng(83)
     x, basis, h = _exact_view(rng, d=8, k=3, n=24)
-    state = FusionState(
-        h=h.copy(),
-        w=[np.eye(3)],
-        alpha=np.array([1.0]),
-        beta=np.array([1.0]),
-    )
     lam = 0.7
     losses = [reconstruction_loss(x, basis, h)]
-    _, traces = update_beta([h], state.w, state.h)
-    assert np.isclose(objective(losses, traces, state, lam), -lam * 3.0, atol=1e-12)
+    _, traces = update_beta([h], [np.eye(3)], h.copy())
+    got = objective(losses, traces, np.array([1.0]), np.array([1.0]), lam)
+    assert np.isclose(got, -lam * 3.0, atol=1e-12)
 
 
 def test_objective_matches_term_by_term_recomputation():
@@ -289,51 +283,15 @@ def test_objective_matches_term_by_term_recomputation():
         h = [rng.uniform(0.05, 1.0, size=(5, 20)), rng.uniform(0.05, 1.0, size=(3, 20))]
         x = rng.standard_normal((d, 20))
         views.append((x, z[0] @ z[1], h[1]))
-    state = FusionState(
-        h=_row_orthonormal(rng, 3, 20),
-        w=[np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)],
-        alpha=np.array([0.3, 0.7]),
-        beta=np.array([0.6, 0.8]),
-    )
+    consensus = _row_orthonormal(rng, 3, 20)
+    rotations = [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)]
+    alpha, beta = np.array([0.3, 0.7]), np.array([0.6, 0.8])
     lam = 1.3
     expected = 0.0
-    for a, b, w, (x, basis, hm) in zip(state.alpha, state.beta, state.w, views):
+    for a, b, w, (x, basis, hm) in zip(alpha, beta, rotations, views):
         recon = np.linalg.norm(x - basis @ hm, "fro") ** 2
-        align = np.trace(hm.T @ w @ state.h)
+        align = np.trace(hm.T @ w @ consensus)
         expected += a * a * recon - lam * b * align
     losses = [reconstruction_loss(*view) for view in views]
-    _, traces = update_beta([hm for _, _, hm in views], state.w, state.h)
-    assert np.isclose(objective(losses, traces, state, lam), expected, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# residuals
-
-
-def test_residuals_near_zero_for_feasible_state():
-    rng = np.random.default_rng(97)
-    state = FusionState(
-        h=_row_orthonormal(rng, 3, 20),
-        w=[np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)],
-        alpha=np.array([0.4, 0.6]),
-        beta=np.array([0.6, 0.8]),
-    )
-    res = state.residuals()
-    assert res["h"] < 1e-12
-    assert all(r < 1e-12 for r in res["w"])
-    assert res["alpha"] < 1e-15
-    assert res["beta"] < 1e-15
-
-
-def test_residuals_report_violations():
-    state = FusionState(
-        h=np.eye(3, 20) * 2.0,
-        w=[np.eye(3) * 3.0],
-        alpha=np.array([0.5, 0.6]),
-        beta=np.array([2.0, 0.0]),
-    )
-    res = state.residuals()
-    assert np.isclose(res["h"], np.sqrt(3 * 9.0))
-    assert np.isclose(res["w"][0], np.sqrt(3 * 64.0))
-    assert np.isclose(res["alpha"], 0.1)
-    assert np.isclose(res["beta"], 1.0)
+    _, traces = update_beta([hm for _, _, hm in views], rotations, consensus)
+    assert np.isclose(objective(losses, traces, alpha, beta, lam), expected, rtol=1e-12)

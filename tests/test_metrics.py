@@ -690,6 +690,11 @@ def test_accuracy_validates():
         accuracy([0, 1], [0, 1, 1])
     with pytest.raises(ValueError):
         accuracy([0, -1], [0, 1])
+    with pytest.raises(ValueError, match="^true labels must be whole numbers, got 1.2$"):
+        accuracy([0, 1, 2], [0.0, 1.2, 2.5])
+    with pytest.raises(ValueError, match="^predicted labels must be whole numbers, got nan$"):
+        accuracy([0, np.nan, 2], [0, 1, 2])
+    assert accuracy([0, 1, 2], [0.0, 1.0, 2.0]) == 1.0  # whole floats stay accepted
 
 
 # ---------------------------------------------------------------------------

@@ -72,33 +72,52 @@ def test_check_convergence():
 # initialization
 
 
-def test_init_state_starts_from_neutral_weights():
+def test_init_state_returns_gauge_fixed_partitions():
     ds = _small_dataset()
-    partitions, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
-    assert len(partitions) == 2
-    assert np.allclose(state.alpha, [0.5, 0.5])
-    assert np.allclose(state.beta, np.full(2, 1.0 / np.sqrt(2.0)))
-    for w in state.w:
-        assert np.array_equal(w, np.eye(3))
-    assert state.h is None  # fit's first consensus step computes it
+    partitions = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
+    assert isinstance(partitions, list) and len(partitions) == 2
     for hm in partitions:
+        assert isinstance(hm, np.ndarray) and hm.shape == (3, ds.n)
         assert np.allclose(np.linalg.norm(hm, axis=1), 1.0, atol=1e-12)
         assert hm.min() >= 0
+
+
+def test_fit_starts_from_neutral_weights(monkeypatch):
+    ds = _small_dataset(view_dims=[10, 14, 12])
+    consensus_calls, sweep_calls = [], []
+    real_consensus, real_sweep = pipeline_module.update_consensus, pipeline_module.sweep_view
+
+    def consensus_spy(partitions, rotations, beta):
+        consensus_calls.append(([w.copy() for w in rotations], np.array(beta)))
+        return real_consensus(partitions, rotations, beta)
+
+    def sweep_spy(x, h, consensus, rotation, alpha_v, beta_v, lam):
+        sweep_calls.append((rotation.copy(), alpha_v, beta_v))
+        return real_sweep(x, h, consensus, rotation, alpha_v, beta_v, lam)
+
+    monkeypatch.setattr(pipeline_module, "update_consensus", consensus_spy)
+    monkeypatch.setattr(pipeline_module, "sweep_view", sweep_spy)
+    fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=2))
+    rotations, beta = consensus_calls[0]
+    assert all(np.array_equal(w, np.eye(3)) for w in rotations) and len(rotations) == 3
+    assert np.array_equal(beta, np.full(3, 1.0 / np.sqrt(3.0)))
+    for rotation, alpha_v, beta_v in sweep_calls[:3]:  # iteration 0, one sweep per view
+        assert np.array_equal(rotation, np.eye(3))
+        assert alpha_v == 1.0 / 3.0
+        assert beta_v == 1.0 / np.sqrt(3.0)
 
 
 def test_init_state_is_deterministic():
     ds = _small_dataset()
     hp = HyperParams(lam=1.0, dims=[6, 3], seed=4)
-    partitions_a, state_a = init_state(ds, hp)
-    partitions_b, state_b = init_state(ds, hp)
-    for ha, hb in zip(partitions_a, partitions_b):
+    partitions_a, partitions_b = init_state(ds, hp), init_state(ds, hp)
+    for ha, hb in zip(partitions_a, partitions_b, strict=True):
         assert np.array_equal(ha, hb)
-    assert np.array_equal(state_a.h, state_b.h)
 
 
 def test_init_state_seeds_views_independently():
     ds = _small_dataset()
-    partitions, _ = init_state(ds, HyperParams(lam=1.0, dims=[6, 3], seed=4))
+    partitions = init_state(ds, HyperParams(lam=1.0, dims=[6, 3], seed=4))
     # same widths, different pretraining randomness per view
     assert partitions[0].shape == partitions[1].shape
     assert not np.allclose(partitions[0], partitions[1])
@@ -206,38 +225,62 @@ def test_fit_is_bitwise_deterministic():
 
 
 def _healthy_record_inputs():
+    """_record's keyword arguments but the objective, at a feasible iterate of two views."""
     ds = _small_dataset()
-    partitions, state = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
-    state.h, _ = update_consensus(partitions, state.w, state.beta)
+    partitions = init_state(ds, HyperParams(lam=1.0, dims=[6, 3]))
+    w = [np.eye(3), np.linalg.qr(np.random.default_rng(97).standard_normal((3, 3)))[0]]
+    beta = np.array([0.6, 0.8])
+    h, _ = update_consensus(partitions, w, beta)
     losses = np.array([
         reconstruction_loss(x, update_basis(x, hm), hm) for x, hm in zip(ds.views, partitions)
     ])
-    return partitions, state, losses
+    return dict(partitions=partitions, h=h, w=w, alpha=np.array([0.4, 0.6]), beta=beta,
+                losses=losses, consensus_degenerate=False, rotation_degenerate=[False, False], it=4)
 
 
-def _poison_partition(partitions, state):
-    partitions[1] = partitions[1].copy()
-    partitions[1][2, 5] = np.nan  # gives min_h_entry = nan
+def test_record_residuals_near_zero_for_a_feasible_iterate():
+    rec = pipeline_module._record(obj=-1.0, **_healthy_record_inputs())
+    assert rec.h_residual < 1e-12
+    assert rec.w_residuals.shape == (2,) and np.all(rec.w_residuals < 1e-12)
+    assert rec.alpha_residual < 1e-15
+    assert rec.beta_residual < 1e-15
+
+
+def test_record_reports_constraint_violations(monkeypatch):
+    monkeypatch.setattr(pipeline_module, "RESIDUAL_LIMIT", 100.0)
+    inputs = _healthy_record_inputs()
+    inputs.update(h=np.eye(3, 40) * 2.0, w=[np.eye(3) * 3.0, np.eye(3)],
+                  alpha=np.array([0.5, 0.6]), beta=np.array([2.0, 0.0]))
+    rec = pipeline_module._record(obj=-1.0, **inputs)
+    assert np.isclose(rec.h_residual, np.sqrt(3 * 9.0))
+    assert np.allclose(rec.w_residuals, [np.sqrt(3 * 64.0), 0.0])
+    assert np.isclose(rec.alpha_residual, 0.1)
+    assert np.isclose(rec.beta_residual, 1.0)
+
+
+def _poison_partition(inputs):
+    inputs["partitions"][1] = inputs["partitions"][1].copy()
+    inputs["partitions"][1][2, 5] = np.nan  # gives min_h_entry = nan
     return -1.0
 
 
-def _poison_consensus(partitions, state):
-    state.h = np.full_like(state.h, np.nan)  # gives h_residual = nan
+def _poison_consensus(inputs):
+    inputs["h"] = np.full_like(inputs["h"], np.nan)  # gives h_residual = nan
     return np.nan  # and a NaN objective
 
 
 @pytest.mark.parametrize("poison", [
     _poison_partition,
     _poison_consensus,
-    lambda partitions, state: np.nan,
-    lambda partitions, state: -np.inf,
+    lambda inputs: np.nan,
+    lambda inputs: -np.inf,
 ], ids=["nan-partition", "nan-consensus", "nan-objective", "infinite-objective"])
 def test_record_fails_closed_on_non_finite_values(poison):
-    partitions, state, losses = _healthy_record_inputs()
-    pipeline_module._record(partitions, state, -1.0, losses, False, [False, False], 4)  # healthy
-    obj = poison(partitions, state)
+    inputs = _healthy_record_inputs()
+    pipeline_module._record(obj=-1.0, **inputs)  # healthy
+    obj = poison(inputs)
     with pytest.raises(NumericalError, match="^iteration 4, constraint check: "):
-        pipeline_module._record(partitions, state, obj, losses, False, [False, False], 4)
+        pipeline_module._record(obj=obj, **inputs)
 
 
 def test_fit_names_the_failing_block(monkeypatch):
@@ -404,11 +447,7 @@ def _counting_pretrain(monkeypatch):
 
 
 def _assert_same_start(got, expect):
-    (partitions, state), (partitions_e, state_e) = got, expect
-    for a, b in zip(partitions, partitions_e, strict=True):
-        assert np.array_equal(a, b)
-    for a, b in zip([state.h, state.alpha, state.beta, *state.w],
-                    [state_e.h, state_e.alpha, state_e.beta, *state_e.w], strict=True):
+    for a, b in zip(got, expect, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -436,7 +475,7 @@ def test_a_fine_tune_leaves_the_shared_start_unchanged():
         again = init_state(ds, hp)
     _assert_same_start(first, before)
     _assert_same_start(again, before)
-    assert again[0] is not first[0] and again[1].w is not first[1].w
+    assert again is not first
 
 
 def test_fits_from_a_read_only_shared_start_equal_fits_outside_the_block(monkeypatch):
@@ -448,7 +487,7 @@ def test_fits_from_a_read_only_shared_start_equal_fits_outside_the_block(monkeyp
     for x in ds.views:
         x.flags.writeable = False
     with shared_pretraining():
-        for hm in init_state(ds, hps[0])[0]:
+        for hm in init_state(ds, hps[0]):
             hm.flags.writeable = False
         shared = [fit(ds, hp) for hp in hps]
     assert len(calls) == ds.num_views
@@ -475,10 +514,8 @@ def test_a_shared_start_runs_no_pretraining_and_no_consensus_step(monkeypatch):
         assert (len(pretrains), len(consensus)) == (ds.num_views, 0)
         again = init_state(ds, replace(hp, lam=4.0))
     assert (len(pretrains), len(consensus)) == (ds.num_views, 0)
-    assert first[1].h is None and again[1].h is None
     _assert_same_start(again, first)
-    (partitions, state), (partitions_a, state_a) = first, again
-    assert state_a.w is not state.w and partitions_a is not partitions
+    assert again is not first
 
 
 @pytest.mark.parametrize("change", ["dataset", "dims", "seed", "pretrain_iters"])

@@ -5,9 +5,11 @@ imports mvfuse from the `src` directory next to it, so running it in two
 checkouts and comparing the outputs with `diff` shows whether a change moved
 any of these outputs:
 
-- six fits: the h, labels and objective trace of each, its per-iteration
-  per-view reconstruction losses, alpha and beta, and its iteration count
-  and final objective;
+- seven fits: the h, labels and objective trace of each, its per-iteration
+  per-view reconstruction losses, alpha and beta, its per-iteration
+  constraint residuals, smallest partition entry and degenerate-step flags,
+  and its iteration count and final objective; the seventh skips
+  pretraining's multiplicative steps (`pretrain_iters=0`);
 - `eval`'s stdout for the labels of the first fit against its ground truth;
 - `run --manifest` on the benchmark dataset saved as text: its stdout (with
   the output directory masked), `results.tsv`, `objective_trace.txt` and
@@ -15,7 +17,7 @@ any of these outputs:
 - `grid.tsv` of the grid-deep benchmark argv at `--seed` 0 and 1, and at
   `--seed` 0 with `--threads 1`, the serial path.
 
-It prints 38 lines. A fit takes a few seconds; the whole script under a
+It prints 50 lines. A fit takes a few seconds; the whole script under a
 minute on 2 cores.
 Digests hold only at a fixed BLAS thread count (see README).
 """
@@ -43,14 +45,15 @@ NUISANCE = dict(BENCHMARK, nuisance_dim=9, nuisance_scale=2.0)
 # The fit-large benchmark workload's dataset.
 LARGE = dict(n=3000, k=5, view_dims=[100, 200, 300], noise_sigma=0.1, seed=0)
 
-# (name, dataset spec, layer dims, lambda, max_iter, fit seed)
+# (name, dataset spec, layer dims, lambda, max_iter, fit seed, pretrain_iters)
 FITS = [
-    ("benchmark-seed0", BENCHMARK, [12, 3], 1.0, 150, 0),
-    ("benchmark-seed7", BENCHMARK, [12, 3], 1.0, 150, 7),
-    ("benchmark-one-layer", BENCHMARK, [3], 1.0, 150, 0),
-    ("nuisance-24.12.3", NUISANCE, [24, 12, 3], 2.0**5, 30, 0),
-    ("nuisance-12.6.3", NUISANCE, [12, 6, 3], 2.0**-12, 30, 3),
-    ("large-seed0", LARGE, [20, 5], 1.0, 50, 0),
+    ("benchmark-seed0", BENCHMARK, [12, 3], 1.0, 150, 0, 50),
+    ("benchmark-seed7", BENCHMARK, [12, 3], 1.0, 150, 7, 50),
+    ("benchmark-one-layer", BENCHMARK, [3], 1.0, 150, 0, 50),
+    ("nuisance-24.12.3", NUISANCE, [24, 12, 3], 2.0**5, 30, 0, 50),
+    ("nuisance-12.6.3", NUISANCE, [12, 6, 3], 2.0**-12, 30, 3, 50),
+    ("large-seed0", LARGE, [20, 5], 1.0, 50, 0, 50),
+    ("benchmark-pretrain0", BENCHMARK, [12, 3], 1.0, 150, 0, 0),
 ]
 
 # The grid-deep benchmark workload's arguments, lambdas in ascending order.
@@ -89,10 +92,12 @@ def cli_stdout(argv) -> str:
     return stdout.getvalue()
 
 
-def run_fit(spec, dims, lam, max_iter, seed):
+def run_fit(spec, dims, lam, max_iter, seed, pretrain_iters):
     """The dataset of one FITS entry and its fit."""
     ds = normalize_dataset(generate_synthetic(**spec), "l2-sample")
-    return ds, fit(ds, HyperParams(lam=lam, dims=dims, max_iter=max_iter, seed=seed))
+    hp = HyperParams(lam=lam, dims=dims, max_iter=max_iter, seed=seed,
+                     pretrain_iters=pretrain_iters)
+    return ds, fit(ds, hp)
 
 
 def fit_lines(name, *config):
@@ -102,6 +107,12 @@ def fit_lines(name, *config):
     yield f"{name} objectives {sha(res.objectives.tobytes())}"
     history = np.array([[*rec.recon_losses, *rec.alpha, *rec.beta] for rec in res.history])
     yield f"{name} history {sha(history.tobytes())}"
+    checks = np.array([
+        [rec.h_residual, *rec.w_residuals, rec.alpha_residual, rec.beta_residual,
+         rec.min_h_entry, rec.consensus_degenerate, *rec.rotation_degenerate]
+        for rec in res.history
+    ], dtype=np.float64)
+    yield f"{name} residuals {sha(checks.tobytes())}"
     yield f"{name} iterations {res.iterations_run} final {float(res.objectives[-1])!r}"
     if name == EVAL_FIT:
         with tempfile.TemporaryDirectory() as tmp:
