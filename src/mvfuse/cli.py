@@ -104,15 +104,19 @@ SYNTHETIC_HELP = "synthetic dataset spec, e.g. n=300,k=3,dims=40/60/80,sigma=0.1
 
 
 def _parse_synthetic_spec(spec: str) -> dict:
-    """Parse "n=300,k=3,dims=40/60/80,sigma=0.1,seed=7[,...]" into generator kwargs."""
+    """Parse "n=300,k=3,dims=40/60/80,sigma=0.1,seed=7[,...]" into generator kwargs.
+
+    Like a list flag's items, spaces around a key or value are ignored and no
+    item is empty.
+    """
     kwargs = {}
     for item in spec.split(","):
-        if not item:
-            continue
+        if not item.strip():
+            raise ValueError(f"--synthetic must be comma-separated key=value items "
+                             f"with no empty item, got {spec!r}")
         if "=" not in item:
             raise ValueError(f"bad synthetic spec item {item!r}, expected key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
+        key, value = (t.strip() for t in item.split("=", 1))
         if key not in SYNTHETIC_SPEC_KEYS:
             raise ValueError(f"unknown synthetic spec key {key!r}")
         keyword, parse = SYNTHETIC_SPEC_KEYS[key]

@@ -69,6 +69,11 @@ class MultiViewDataset:
                 # its partition would collapse to zero during fine-tuning
                 raise ValueError(f"dataset {self.name!r}: view {i} is all zeros")
             self.views[i] = x
+        if all((x == x[:, :1]).all() for x in self.views):
+            raise ValueError(
+                f"dataset {self.name!r}: all {n} samples are identical in every view, "
+                "so no clustering can tell them apart"
+            )
         if self.truth is not None:
             truth = as_labels(self.truth, f"dataset {self.name!r}: truth labels")
             if truth.shape != (n,):
@@ -281,8 +286,13 @@ def normalize(x, scheme: str = DEFAULT_NORMALIZATION) -> np.ndarray:
 
 def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION) -> MultiViewDataset:
     """The dataset with every view normalized by `scheme`, which it records."""
+    views = [normalize(x, scheme) for x in ds.views]
+    for i, (raw, x) in enumerate(zip(ds.views, views)):
+        if not x.any() and np.any(raw):
+            raise ValueError(f"dataset {ds.name!r}: view {i} is all zeros after {scheme} "
+                             "normalization, though the raw view is not")
     return MultiViewDataset(
-        views=[normalize(x, scheme) for x in ds.views],
+        views=views,
         truth=ds.truth,
         k=ds.k,
         name=ds.name,

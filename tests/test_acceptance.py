@@ -6,16 +6,20 @@ user-supplied real corpus is opt-in via environment variables; see the
 README for how to enable it.
 """
 
-import itertools
-import math
 import os
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import _row_orthonormal, benchmark_hp
+from conftest import (
+    _row_orthonormal,
+    benchmark_hp,
+    brute_force_accuracy,
+    brute_force_assignment,
+    direct_nmi,
+    direct_purity,
+)
 from mvfuse.cli import main
 from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.deep import update_partition
@@ -173,46 +177,6 @@ def test_criterion_4_block_optimality():
 # 5. metric oracles
 
 
-def _brute_assignment(cost):
-    k = cost.shape[0]
-    best, best_perm = np.inf, None
-    for perm in itertools.permutations(range(k)):
-        total = sum(cost[i, perm[i]] for i in range(k))
-        if total < best:
-            best, best_perm = total, perm
-    return np.array(best_perm), best
-
-
-def _brute_accuracy(pred, truth):
-    size = int(max(pred.max(), truth.max())) + 1
-    best = 0
-    for perm in itertools.permutations(range(size)):
-        matched = int(np.sum(truth == np.array(perm)[pred]))
-        best = max(best, matched)
-    return best / pred.shape[0]
-
-
-def _direct_nmi(pred, truth):
-    n = len(pred)
-    joint = Counter(zip(pred.tolist(), truth.tolist()))
-    p_pred = Counter(pred.tolist())
-    p_truth = Counter(truth.tolist())
-    mi = 0.0
-    for (a, b), c in joint.items():
-        p = c / n
-        mi += p * math.log(p * n * n / (p_pred[a] * p_truth[b]))
-    h_pred = -sum(c / n * math.log(c / n) for c in p_pred.values())
-    h_truth = -sum(c / n * math.log(c / n) for c in p_truth.values())
-    return mi / math.sqrt(h_pred * h_truth)
-
-
-def _direct_purity(pred, truth):
-    clusters = {}
-    for a, b in zip(pred.tolist(), truth.tolist()):
-        clusters.setdefault(a, Counter())[b] += 1
-    return sum(c.most_common(1)[0][1] for c in clusters.values()) / len(pred)
-
-
 def test_criterion_5_metric_oracles():
     rng = np.random.default_rng(13)
 
@@ -221,7 +185,7 @@ def test_criterion_5_metric_oracles():
         k = 2 + trial % 5  # k in 2..6
         cost = rng.standard_normal((k, k))
         perm = hungarian(cost)
-        brute_perm, brute_cost = _brute_assignment(cost)
+        brute_perm, brute_cost = brute_force_assignment(cost)
         hungarian_ok &= bool(np.array_equal(perm, brute_perm))
         hungarian_ok &= float(cost[np.arange(k), perm].sum()) == brute_cost
 
@@ -231,7 +195,7 @@ def test_criterion_5_metric_oracles():
         n = int(rng.integers(10, 40))
         pred = rng.integers(0, k, size=n)
         truth = rng.integers(0, k, size=n)
-        accuracy_ok &= accuracy(pred, truth) == _brute_accuracy(pred, truth)
+        accuracy_ok &= accuracy(pred, truth) == brute_force_accuracy(pred, truth)
 
     info_ok = True
     for trial in range(200):
@@ -241,8 +205,8 @@ def test_criterion_5_metric_oracles():
         truth = rng.integers(0, k, size=n)
         if len(set(pred.tolist())) < 2 or len(set(truth.tolist())) < 2:
             continue
-        info_ok &= abs(nmi(pred, truth) - min(_direct_nmi(pred, truth), 1.0)) <= 1e-12
-        info_ok &= abs(purity(pred, truth) - _direct_purity(pred, truth)) <= 1e-12
+        info_ok &= abs(nmi(pred, truth) - min(direct_nmi(pred, truth), 1.0)) <= 1e-12
+        info_ok &= abs(purity(pred, truth) - direct_purity(pred, truth)) <= 1e-12
 
     ok = hungarian_ok and accuracy_ok and info_ok
     _report(

@@ -87,6 +87,11 @@ def test_parse_synthetic_spec():
         _parse_synthetic_spec("n=60,k=4,dims=10/x")
     with pytest.raises(ValueError, match=r"^synthetic spec key 'n' given twice$"):
         _parse_synthetic_spec("n=30,k=3,dims=5/6,n=40")
+    spaced = _parse_synthetic_spec(" n = 60, k=4 ,dims= 10/20 ,name= x ")
+    assert spaced == dict(n=60, k=4, view_dims=[10, 20], name="x")
+    for spec in ("n=300,,k=3,dims=40/60", "n=300,k=3,dims=40/60,", "n=300, ,k=3,dims=40/60"):
+        with pytest.raises(ValueError, match=r"^--synthetic .* no empty item"):
+            _parse_synthetic_spec(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +408,10 @@ def _small_manifest(tmp_path, view0):
     return manifest
 
 
-def _run_manifest(manifest, out):
+def _run_manifest(manifest, out, *options):
     return main([
         "run", "--manifest", str(manifest), "--lambda", "1", "--dims", "6,3",
-        "--repeats", "1", "--max-iter", "10", "--restarts", "5", "--out", str(out),
+        "--repeats", "1", "--max-iter", "10", "--restarts", "5", "--out", str(out), *options,
     ])
 
 
@@ -418,11 +423,18 @@ def test_run_fits_a_constant_view(tmp_path):
 
 
 def test_run_names_an_all_zero_view(tmp_path, capsys):
-    manifest = _small_manifest(tmp_path, np.zeros((10, 40)))
-    assert _run_manifest(manifest, tmp_path / "out") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "view 0 is all zeros" in err
-    assert not (tmp_path / "out").exists()
+    cases = {
+        "raw": (np.zeros((10, 40)), [], "view 0 is all zeros"),
+        # every feature is constant, so the min-max map zeroes the view
+        "minmax": (np.full((10, 40), 0.5), ["--norm", "minmax-feature"],
+                   "view 0 is all zeros after minmax-feature normalization"),
+    }
+    for name, (view0, options, cause) in cases.items():
+        manifest = _small_manifest(tmp_path / name, view0)
+        assert _run_manifest(manifest, tmp_path / name / "out", *options) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err
+        assert not (tmp_path / name / "out").exists()
 
 
 def _duplicated_view_dataset():
@@ -728,10 +740,15 @@ def test_fit_commands_name_the_flag_of_an_unparsable_value(tmp_path, capsys, arg
     (GRID + ["--p3-l2", "4,4"], "--p3-l2"),
     (GRID + ["--schemes", "p2, "], "--schemes"),
     (GRID + ["--schemes", "p2,p4"], "--schemes"),
+    (["run", "--synthetic", "n=300,,k=3,dims=40/60", "--lambda", "1", "--dims", "6,3"],
+     "--synthetic"),
+    (["grid", "--synthetic", f"{SMALL_SPEC},"], "--synthetic"),
+    (["synth", "--synthetic", f" ,{SMALL_SPEC}"], "--synthetic"),
 ], ids=["lambdas-comma", "lambdas-blank", "schemes-comma", "p2-l1-comma", "p3-l2-blank",
         "dims-comma", "dims-empty-item", "lambdas-empty-item", "schemes-trailing-comma",
         "lambdas-repeated", "schemes-repeated", "p2-l1-repeated", "p3-l1-repeated",
-        "p3-l2-repeated", "schemes-blank-item", "schemes-unknown"])
+        "p3-l2-repeated", "schemes-blank-item", "schemes-unknown", "synthetic-empty-item",
+        "synthetic-trailing-comma", "synthetic-blank-item"])
 def test_fit_commands_name_the_flag_of_an_empty_list(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.setattr(cli_module, "fit", lambda *a: pytest.fail("a fit ran"))
     _assert_names_flag(tmp_path, capsys, argv, flag)

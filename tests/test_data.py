@@ -371,6 +371,10 @@ def test_dataset_validation_errors():
         MultiViewDataset(views=ragged, truth=None, k=3).validate()
     with pytest.raises(ValueError, match="view 1 is all zeros"):
         MultiViewDataset(views=[good.views[0], 0.0 * good.views[1]], truth=None, k=3).validate()
+    same = [np.repeat(x[:, :1], 30, axis=1) for x in good.views]
+    with pytest.raises(ValueError, match="all 30 samples are identical in every view"):
+        MultiViewDataset(views=same, truth=None, k=3).validate()
+    MultiViewDataset(views=[same[0], good.views[1]], truth=None, k=3).validate()  # view 1 differs
     with pytest.raises(ValueError, match="truth has shape"):
         MultiViewDataset(views=good.views, truth=good.truth[:-1], k=3).validate()
     bad_range = good.truth.copy()

@@ -1,5 +1,3 @@
-import itertools
-import math
 import warnings
 
 import numpy as np
@@ -7,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_accuracy, brute_force_assignment, direct_nmi, direct_purity
 from mvfuse import metrics
 from mvfuse.data import generate_synthetic, normalize_dataset
 from mvfuse.metrics import (
@@ -109,58 +108,6 @@ def reference_kmeans(points, k, restarts=1, seed=0):
         except RuntimeWarning:
             return None
     return best_labels
-
-
-def brute_force_assignment(cost):
-    """Minimum-cost permutation by exhaustive search (viable for k <= 6)."""
-    k = cost.shape[0]
-    best_perm, best_value = None, math.inf
-    for perm in itertools.permutations(range(k)):
-        value = sum(cost[i, perm[i]] for i in range(k))
-        if value < best_value:
-            best_perm, best_value = perm, value
-    return np.array(best_perm), best_value
-
-
-def brute_force_accuracy(pred, truth):
-    """Best-map accuracy by trying every label bijection."""
-    k = int(max(pred.max(), truth.max())) + 1
-    n = len(pred)
-    best = 0
-    for perm in itertools.permutations(range(k)):
-        matched = sum(1 for p, t in zip(pred, truth) if perm[p] == t)
-        best = max(best, matched)
-    return best / n
-
-
-def direct_nmi(pred, truth):
-    """NMI straight from the definition, with plain dict counting."""
-    n = len(pred)
-    joint, cp, ct = {}, {}, {}
-    for p, t in zip(pred.tolist(), truth.tolist()):
-        joint[(p, t)] = joint.get((p, t), 0) + 1
-        cp[p] = cp.get(p, 0) + 1
-        ct[t] = ct.get(t, 0) + 1
-    mi = 0.0
-    for (p, t), c in joint.items():
-        mi += (c / n) * math.log((c * n) / (cp[p] * ct[t]))
-    hp = -sum((c / n) * math.log(c / n) for c in cp.values())
-    ht = -sum((c / n) * math.log(c / n) for c in ct.values())
-    if hp == 0.0 and ht == 0.0:
-        return 1.0
-    if hp == 0.0 or ht == 0.0:
-        return 0.0
-    return mi / math.sqrt(hp * ht)
-
-
-def direct_purity(pred, truth):
-    clusters = {}
-    for p, t in zip(pred.tolist(), truth.tolist()):
-        clusters.setdefault(p, []).append(t)
-    total = 0
-    for members in clusters.values():
-        total += max(members.count(t) for t in set(members))
-    return total / len(pred)
 
 
 # ---------------------------------------------------------------------------
