@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csc_array
 
 # Cap on Lloyd iterations per restart when labels never reach a fixed point.
 LLOYD_MAX_ITER = 300
@@ -104,29 +105,32 @@ def _reseed_empty(points, d2, labels, centers):
     return np.bincount(labels, minlength=k)
 
 
-def _update_centers(columns, slots, labels, counts, centers):
+def _update_centers(rows, slots, labels, counts, centers):
     """Move each non-empty cluster's center to its members' mean, in place.
 
-    `columns` is the (d, n) transpose of the points, C-contiguous, and `slots`
-    numbers each point's (restart, cluster) pair in the stack. A member mean
+    `rows` is the (n, d) points, C-contiguous, and `slots` numbers each
+    point's (restart, cluster) pair in the stack. A member mean
     points[labels == c].mean(axis=0) adds the members in row order when
-    d >= 2, and so does a bincount over the slots with one column tiled
-    across the stack as weights: d calls in all instead of one mean per
-    restart and cluster. For d == 1, whose mean sums pairwise, the loop runs
-    per cluster. A cluster left empty keeps its reseeded center.
+    d >= 2, and so does one product of the (m k) x n CSC indicator of the
+    slots with `rows`: scipy walks the indicator column by column, that is
+    point by point, and adds each point's row into its m slots' sums. So
+    every sum starts at zero and adds its members in ascending order, bit for
+    bit the member sum, for all restarts and clusters at once. For d == 1,
+    whose mean sums pairwise, the loop runs per cluster. A cluster left empty
+    keeps its reseeded center.
     """
     m, k, d = centers.shape
     if d >= 2:
-        flat, weights, sums = slots.ravel(), np.empty(slots.shape), np.empty((m * k, d))
-        for j in range(d):
-            weights[:] = columns[j]
-            sums[:, j] = np.bincount(flat, weights=weights.ravel(), minlength=m * k)
-        np.divide(sums.reshape(m, k, d), counts[:, :, None], out=centers,
+        n = rows.shape[0]
+        # column j holds point j's m slots, ascending because restart r's lie in [r k, r k + k)
+        indicator = csc_array((np.ones(m * n), slots.T.ravel(), np.arange(0, m * n + 1, m)),
+                              shape=(m * k, n))
+        np.divide((indicator @ rows).reshape(m, k, d), counts[:, :, None], out=centers,
                   where=counts[:, :, None] > 0)
         return
     for r in range(m):
         for c in np.flatnonzero(counts[r]):
-            centers[r, c] = columns.T[labels[r] == c].mean(axis=0)
+            centers[r, c] = rows[labels[r] == c].mean(axis=0)
 
 
 def _lloyd(points, sq_points, twice, centers):
@@ -136,15 +140,15 @@ def _lloyd(points, sq_points, twice, centers):
     and the (R,) inertias. `sq_points` and `twice` are kmeans's shared point
     terms. The distances are computed on `points` as the caller laid them
     out, because the summation order of a row reduction or a matmul follows
-    the memory layout; only the per-cluster means read a contiguous copy of
-    the columns, which is `points.T` itself for Fortran-ordered points.
+    the memory layout; only the per-cluster means read a C-contiguous copy of
+    the points, one sparse indicator product per center step.
     np.matmul over the stack makes one product per restart with that
     restart's own operands, so every restart computes what it would alone,
     bit for bit. A restart leaves the stack once its labels repeat.
     """
     n = points.shape[0]
     R, k, _ = centers.shape
-    columns = np.ascontiguousarray(points.T)
+    rows = np.ascontiguousarray(points)
     every, offsets = np.arange(n), k * np.arange(R)[:, None]
     prod, dist = np.empty((R, n, k)), np.empty((R, n, k))
     buf, slot_buf = np.empty((R, n), dtype=np.intp), np.empty((R, n), dtype=np.intp)
@@ -176,7 +180,7 @@ def _lloyd(points, sq_points, twice, centers):
             alive, centers, labels, counts = alive[keep], centers[keep], labels[keep], counts[keep]
             slots = labels + offsets[:alive.size]
         prev = labels.copy()
-        _update_centers(columns, slots, labels, counts, centers)
+        _update_centers(rows, slots, labels, counts, centers)
     return out_labels, out_inertia
 
 
@@ -188,10 +192,10 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     smallest within-cluster sum of squares; ties keep the earliest restart.
     The restarts run in lock-step, in groups of at most
     LLOYD_STACK_FLOATS // (n * k): one k-means++ loop seeds the whole group,
-    one center step for all of its restarts at a time, and each Lloyd
-    iteration then advances every restart of the group still moving with one
-    stacked distance product and one argmin. Each restart's centers and
-    labels equal what it draws and reaches alone.
+    and each Lloyd iteration then advances every restart of the group still
+    moving with one stacked distance product, one argmin and one sparse
+    indicator product for all of their center sums. Each restart's centers
+    and labels equal what it draws and reaches alone.
     Seeding and Lloyd both use the expansion
     ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c, so ||p||^2 and 2p are computed
     once per call. The seeding recomputes directly every entry within the

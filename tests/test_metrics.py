@@ -521,6 +521,45 @@ def test_seeding_matches_the_reference_on_the_fit_large_views():
             assert np.array_equal(got, expected)
 
 
+def test_lloyd_matches_the_reference_on_a_fit_large_view():
+    # the widest fit-large view at its first pretraining layer's k, from a stack of
+    # three k-means++ starts
+    ds = generate_synthetic(n=3000, k=5, view_dims=[100, 200, 300], noise_sigma=0.1, seed=0)
+    points = normalize_dataset(ds, "l2-sample").views[2].T  # F-ordered, d = 300
+    sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    starts = _plusplus_centers(points, 20, rngs, sq_points, twice)
+    labels, inertia = _lloyd(points, sq_points, twice, starts)
+    for r, start in enumerate(starts):
+        want_labels, want_inertia = _reference_lloyd(points, start)
+        assert np.array_equal(labels[r], want_labels) and inertia[r] == want_inertia
+
+
+# (m, k, n, d): m k = 255 and 257 at d of 2, 3 and 300, then 65,535 and 65,537,
+# where d = 300 would make a 157 MB stack
+@pytest.mark.parametrize("m, k, n, d", [
+    *[(m, k, 400, d) for m, k in ((5, 51), (1, 257)) for d in (2, 3, 300)],
+    *[(m, k, 300, d) for m, k in ((5, 13107), (1, 65537)) for d in (2, 3)],
+])
+@pytest.mark.parametrize("fortran", [False, True])
+def test_update_centers_equals_the_member_mean_bit_for_bit(m, k, n, d, fortran):
+    rng = np.random.default_rng(m * k + d)
+    points = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d)
+    points = np.asfortranarray(points) if fortran else np.ascontiguousarray(points)
+    # a few clusters take most points, so sums run long and many clusters stay empty
+    labels = np.minimum(rng.geometric(0.3, size=(m, n)) - 1, k - 1)
+    slots = labels + k * np.arange(m)[:, None]
+    counts = np.bincount(slots.ravel(), minlength=m * k).reshape(m, k)
+    assert not counts.all()
+    centers = rng.standard_normal((m, k, d))
+    kept = centers.copy()
+    metrics._update_centers(np.ascontiguousarray(points), slots, labels, counts, centers)
+    for r in range(m):
+        for c in range(k):
+            want = points[labels[r] == c].mean(axis=0) if counts[r, c] else kept[r, c]
+            assert centers[r, c].tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_kmeans_names_a_distance_overflow():
     points = np.random.default_rng(3).standard_normal((200, 30)) * 1e154
