@@ -7,9 +7,10 @@ refitting every basis of the chain in turn would leave z_1 ... z_m equal to
 x pinv(h_m), and nothing reads the inner representations, so pretraining
 hands on h_m alone. Each fine-tuning sweep derives the one basis
 phi = x pinv(h_m) by an exact least-squares refit, then takes a
-multiplicative step on h_m that also feels the consensus-alignment pull;
-phi lives only until the sweep's reconstruction loss is taken. Every update
-is a function of arrays that writes into none of them.
+multiplicative step on h_m that also feels the consensus-alignment pull.
+The step's products phi^T x and phi^T phi also give the sweep's
+reconstruction loss, so phi lives only inside the sweep. Every update is a
+function of arrays that writes into none of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from mvfuse.linalg import NumericalError, as_matrix
 # Unused here; kept because the benchmark's tracer wraps this module attribute.
 from mvfuse.linalg import pinv  # noqa: F401
-from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis
+from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis, step_products
+
+_EPS = np.finfo(np.float64).eps
 
 
 def validate_layer_dims(dims, k: int, feature_dims=(), n: int | None = None) -> list[int]:
@@ -60,23 +63,26 @@ def update_basis(x, h) -> np.ndarray:
     return refit_basis(x, h)
 
 
-def update_hidden(x, basis, h, weight=1.0, pull=None) -> np.ndarray:
+def update_hidden(x, basis, h, weight=1.0, pull=None, products=None) -> np.ndarray:
     """Multiplicative step on h_m against the basis phi; see multiplicative_step."""
-    return multiplicative_step(x, basis, h, weight=weight, pull=pull)
+    return multiplicative_step(x, basis, h, weight=weight, pull=pull, products=products)
 
 
-def update_partition(x, basis, h, consensus, rotation, alpha_v: float, beta_v: float, lam: float):
+def update_partition(x, basis, h, consensus, rotation, alpha_v: float, beta_v: float, lam: float,
+                     products=None):
     """Multiplicative step on the last-layer partition h_m.
 
     Descends alpha_v^2 ||x - phi h_m||^2 - lam beta_v tr(consensus h_m^T rotation):
     the reconstruction pull and the consensus-alignment pull share one rule,
     update_hidden's, with the weight 2 alpha_v^2 and the pull
     lam beta_v rotation @ consensus. With lam == 0 the pull vanishes.
+    `products` is step_products(x, basis) when the caller holds it already.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     return update_hidden(
-        x, basis, h, weight=2.0 * alpha_v * alpha_v, pull=lam * beta_v * (rotation @ consensus)
+        x, basis, h, weight=2.0 * alpha_v * alpha_v, pull=lam * beta_v * (rotation @ consensus),
+        products=products,
     )
 
 
@@ -87,6 +93,30 @@ def reconstruction_loss(x, basis, h) -> float:
     np.subtract(x, residual, out=residual)
     np.square(residual, out=residual)
     return float(np.sum(residual))
+
+
+def expanded_loss(x, x_sq: float, basis, products, h) -> float:
+    """||x - phi h_m||_F^2 from a step's products a = phi^T x and G = phi^T phi.
+
+    The semi-NMF algebra of Ding, Li & Jordan (2010),
+    ||x - phi h||^2 = ||x||^2 - 2 <a, h> + <G, h h^T> with x_sq = ||x||^2,
+    costs O(k^2 n) against reconstruction_loss's d x n rebuild. Every term,
+    and the rounding of a and G, is bounded by (||x|| + || |phi| h ||)^2,
+    so the expansion rounds by at most 4 (d + k n) eps times that. A result
+    not above this bound, where phi h fits x almost exactly and the terms
+    cancel, or not finite, is recomputed directly by reconstruction_loss:
+    the loss of a view that phi h fits exactly is never negative.
+    """
+    a, gram = products
+    hht = h @ h.T
+    # elementwise sums, not BLAS dots: a threaded dot would wake idle BLAS threads
+    cross, fit_sq = float(np.sum(a * h)), float(np.sum(gram * hht))
+    loss = x_sq - 2.0 * cross + fit_sq
+    magnitude = np.abs(basis)
+    size = (np.sqrt(x_sq) + np.sqrt(np.sum((magnitude.T @ magnitude) * hht))) ** 2
+    if 4.0 * (x.shape[0] + h.size) * _EPS * size < loss < np.inf:  # NaN fails both
+        return loss
+    return reconstruction_loss(x, basis, h)
 
 
 def fix_partition_gauge(h) -> np.ndarray:
@@ -110,14 +140,22 @@ def fix_partition_gauge(h) -> np.ndarray:
     return h / scale[:, None]
 
 
-def sweep_view(x, h, consensus, rotation, alpha_v, beta_v, lam):
+def sweep_view(x, h, consensus, rotation, alpha_v, beta_v, lam, x_sq=None):
     """One fine-tuning pass over a view: the basis refit, the partition step,
     then the gauge fix that pins the partition scale.
 
-    Returns (basis, h): the refit basis phi = x pinv(h_m), which the new
-    partition was stepped against, and the new partition. A pretrained chain
-    of any depth enters only through its h_m.
+    Returns (loss, h): the view's reconstruction loss ||x - phi h_m||^2 of
+    the new partition against the refit basis phi = x pinv(h_m) that it was
+    stepped against, and the new partition. expanded_loss takes the loss from
+    the step's own products; x_sq is ||x||^2, which a fit takes once per
+    view, and is computed here when not given. A pretrained chain of any
+    depth enters only through its h_m.
     """
     basis = update_basis(x, h)
-    h = update_partition(x, basis, h, consensus, rotation, alpha_v, beta_v, lam)
-    return basis, fix_partition_gauge(h)
+    products = step_products(x, basis)
+    h = fix_partition_gauge(
+        update_partition(x, basis, h, consensus, rotation, alpha_v, beta_v, lam, products=products)
+    )
+    if x_sq is None:
+        x_sq = float(np.sum(x * x))
+    return expanded_loss(x, x_sq, basis, products, h), h

@@ -23,15 +23,21 @@ EPS = 1e-10
 INIT_KMEANS_RESTARTS = 10
 
 
-def multiplicative_step(x, basis, h, weight=1.0, pull=None):
+def step_products(x, basis):
+    """a = basis^T x and G = basis^T basis: all that a multiplicative step reads
+    of x and the basis, and with ||x||^2 all that ||x - basis h||^2 needs."""
+    return basis.T @ x, basis.T @ basis
+
+
+def multiplicative_step(x, basis, h, weight=1.0, pull=None, products=None):
     """One Ding-style step on h >= 0 descending weight/2 ||x - basis @ h||^2 - tr(h^T pull).
 
     With pull=None this is the plain semi-NMF step; otherwise the positive and
     negative parts of pull join the weighted numerator and denominator. Entries
-    of h that are exactly zero stay zero.
+    of h that are exactly zero stay zero. `products` is
+    step_products(x, basis) when the caller holds it already.
     """
-    a = basis.T @ x
-    gram = basis.T @ basis
+    a, gram = step_products(x, basis) if products is None else products
     num = weight * (pos_part(a) + neg_part(gram) @ h)
     den = weight * (neg_part(a) + pos_part(gram) @ h)
     if pull is not None:

@@ -3,6 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import mvfuse.deep as deep_module
 from conftest import _row_orthonormal
 from mvfuse.data import generate_synthetic, normalize
 from mvfuse.deep import (
@@ -341,10 +342,13 @@ def test_sweep_without_alignment_is_a_deep_seminmf_sweep():
     x, z, h = _random_chain(rng, d=14, dims=(7, 3), n=30)
     consensus = _row_orthonormal(rng, 3, 30)
     zs, hs = _manual_deep_sweep(x, z, h)
-    swept = sweep_view(x, h[-1], consensus, np.eye(3), alpha_v=1.0, beta_v=0.4, lam=0.0)
-    # the sweep's one basis is the product of the oracle's bases
-    for got, want in zip(swept, [reduce(np.matmul, zs), hs[-1]], strict=True):
-        assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
+    loss, hm = sweep_view(x, h[-1], consensus, np.eye(3), alpha_v=1.0, beta_v=0.4, lam=0.0)
+    # the sweep's one basis is the product of the oracle's bases, and its loss
+    # is the oracle's reconstruction loss against that product
+    basis = reduce(np.matmul, zs)
+    assert np.allclose(update_basis(x, h[-1]), basis, rtol=1e-7, atol=1e-9)
+    assert np.allclose(hm, hs[-1], rtol=1e-7, atol=1e-9)
+    assert loss == pytest.approx(reconstruction_loss(x, basis, hs[-1]), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +397,62 @@ def test_sweep_leaves_partition_rows_unit():
     consensus = _row_orthonormal(rng, 3, 30)
     _, h = sweep_view(x, h, consensus, np.eye(3), 0.6, 0.5, 0.8)
     assert np.allclose(np.linalg.norm(h, axis=1), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's loss
+
+
+def _counting_direct_loss(monkeypatch):
+    """The list of calls that deep's sweep makes to reconstruction_loss."""
+    calls = []
+
+    def counting(*view):
+        calls.append(view)
+        return reconstruction_loss(*view)
+
+    monkeypatch.setattr(deep_module, "reconstruction_loss", counting)
+    return calls
+
+
+def test_sweep_loss_of_an_exact_view_is_the_direct_loss(monkeypatch):
+    # x = phi h with h gauge-fixed: at lam 0 the step keeps h, so the expansion's
+    # terms cancel to rounding around zero and the sweep recomputes the loss directly
+    rng = np.random.default_rng(277)
+    direct = _counting_direct_loss(monkeypatch)
+    for i, (d, k, n) in enumerate([(12, 3, 40), (30, 5, 200), (8, 8, 8)]):
+        h = fix_partition_gauge(rng.uniform(0.05, 1.0, size=(k, n)))
+        x = rng.standard_normal((d, k)) @ h
+        loss, hm = sweep_view(x, h, _row_orthonormal(rng, k, n), np.eye(k), 0.5, 0.5, 0.0)
+        assert len(direct) == i + 1
+        assert loss >= 0.0
+        assert loss == reconstruction_loss(x, update_basis(x, h), hm)
+
+
+def test_sweep_loss_expansion_is_within_its_bound_of_the_direct_loss(monkeypatch):
+    # generic views keep the expansion: within 1e-12 of the direct loss, relative.
+    # Low-rank views and skewed partitions, where phi h cancels inside, stay
+    # within the expansion's stated bound 4 (d + k n) eps (||x|| + || |phi| h ||)^2.
+    rng = np.random.default_rng(281)
+    direct = _counting_direct_loss(monkeypatch)
+    generic = 0
+    for _ in range(300):
+        d, n = int(rng.integers(2, 60)), int(rng.integers(5, 200))
+        k = int(rng.integers(1, min(d, n) + 1))
+        low_rank = rng.random() < 0.3
+        x = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-3, 3)
+        if low_rank:
+            x = rng.standard_normal((d, k)) @ rng.uniform(0.0, 1.0, size=(k, n))
+        h = fix_partition_gauge(rng.uniform(0.0, 1.0, size=(k, n)) ** rng.choice([1, 12]))
+        lam = float(rng.choice([0.0, 1.0, 32.0]))
+        calls = len(direct)
+        loss, hm = sweep_view(x, h, _row_orthonormal(rng, k, n), np.eye(k), 0.5, 0.7, lam)
+        basis = update_basis(x, h)
+        want = reconstruction_loss(x, basis, hm)
+        if not low_rank and 2 * k <= min(d, n):
+            assert len(direct) == calls  # the expansion was kept
+            assert loss == pytest.approx(want, rel=1e-12)
+            generic += 1
+        size = (np.linalg.norm(x) + np.linalg.norm(np.abs(basis) @ hm)) ** 2
+        assert abs(loss - want) <= 4.0 * (d + k * n) * np.finfo(float).eps * size
+    assert generic >= 100

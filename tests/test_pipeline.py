@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mvfuse.deep as deep_module
 import mvfuse.fusion as fusion_module
 import mvfuse.pipeline as pipeline_module
 import mvfuse.seminmf as seminmf_module
 from mvfuse.data import MultiViewDataset, generate_synthetic, normalize_dataset
-from mvfuse.deep import reconstruction_loss, update_basis
+from mvfuse.deep import expanded_loss, reconstruction_loss, update_basis
 from mvfuse.fusion import update_consensus
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import (
@@ -91,9 +92,9 @@ def test_fit_starts_from_neutral_weights(monkeypatch):
         consensus_calls.append(([w.copy() for w in rotations], np.array(beta)))
         return real_consensus(partitions, rotations, beta)
 
-    def sweep_spy(x, h, consensus, rotation, alpha_v, beta_v, lam):
+    def sweep_spy(x, h, consensus, rotation, alpha_v, beta_v, lam, *rest):
         sweep_calls.append((rotation.copy(), alpha_v, beta_v))
-        return real_sweep(x, h, consensus, rotation, alpha_v, beta_v, lam)
+        return real_sweep(x, h, consensus, rotation, alpha_v, beta_v, lam, *rest)
 
     monkeypatch.setattr(pipeline_module, "update_consensus", consensus_spy)
     monkeypatch.setattr(pipeline_module, "sweep_view", sweep_spy)
@@ -295,17 +296,23 @@ def test_fit_names_the_failing_block(monkeypatch):
 
 
 def test_fit_computes_each_view_loss_once_per_iteration(monkeypatch):
-    calls = []
+    calls, direct = [], []
 
-    def counting(*view):
-        calls.append(view)
+    def counting(*args):
+        calls.append(args)
+        return expanded_loss(*args)
+
+    def direct_counting(*view):
+        direct.append(view)
         return reconstruction_loss(*view)
 
-    monkeypatch.setattr(pipeline_module, "reconstruction_loss", counting)
-    monkeypatch.setattr(fusion_module, "reconstruction_loss", counting)
+    monkeypatch.setattr(deep_module, "expanded_loss", counting)
+    monkeypatch.setattr(pipeline_module, "reconstruction_loss", direct_counting)
+    monkeypatch.setattr(fusion_module, "reconstruction_loss", direct_counting)
     ds = _small_dataset()
     res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
     assert len(calls) == ds.num_views * res.iterations_run
+    assert direct == []  # the sweep's loss is the only one
 
 
 def test_fit_takes_uniform_alpha_once_every_view_reconstructs_exactly(monkeypatch):
@@ -313,17 +320,41 @@ def test_fit_takes_uniform_alpha_once_every_view_reconstructs_exactly(monkeypatc
     ds = _small_dataset()
     calls = []
 
-    def vanishing(*view):
-        calls.append(view)
-        return reconstruction_loss(*view) if len(calls) <= ds.num_views else 0.0
+    def vanishing(*args):
+        calls.append(args)
+        return expanded_loss(*args) if len(calls) <= ds.num_views else 0.0
 
-    monkeypatch.setattr(pipeline_module, "reconstruction_loss", vanishing)
+    monkeypatch.setattr(deep_module, "expanded_loss", vanishing)
     res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=4))
     uniform = np.full(ds.num_views, 1.0 / ds.num_views)
     assert not np.array_equal(res.history[0].alpha, uniform)
     assert res.iterations_run > 1
     for rec in res.history[1:]:
         assert np.array_equal(rec.alpha, uniform)
+
+
+def test_fit_over_exactly_reconstructed_views_gives_alpha_no_negative_loss(monkeypatch):
+    # k = n: phi h_m rebuilds every view exactly, and at lam 0 each step keeps it
+    # so. The expanded losses then cancel to rounding around zero; the sweep
+    # recomputes each directly, and alpha sees only non-negative losses.
+    seen, direct = [], []
+    real_alpha = pipeline_module.update_alpha
+
+    def alpha_spy(losses):
+        seen.append(np.array(losses))
+        return real_alpha(losses)
+
+    def direct_counting(*view):
+        direct.append(view)
+        return reconstruction_loss(*view)
+
+    monkeypatch.setattr(pipeline_module, "update_alpha", alpha_spy)
+    monkeypatch.setattr(deep_module, "reconstruction_loss", direct_counting)
+    ds = _tiny_dataset(7, 7)
+    res = fit(ds, HyperParams(lam=0.0, dims=[7], max_iter=5))
+    assert len(seen) == res.iterations_run
+    assert all((losses >= 0).all() for losses in seen)
+    assert len(direct) == ds.num_views * res.iterations_run
 
 
 def test_datasets_compare_and_hash_by_identity():
