@@ -107,7 +107,7 @@ def _parse_synthetic_spec(spec: str) -> dict:
     """Parse "n=300,k=3,dims=40/60/80,sigma=0.1,seed=7[,...]" into generator kwargs.
 
     Like a list flag's items, spaces around a key or value are ignored and no
-    item is empty.
+    item is empty. Every error names --synthetic.
     """
     kwargs = {}
     for item in spec.split(","):
@@ -115,20 +115,21 @@ def _parse_synthetic_spec(spec: str) -> dict:
             raise ValueError(f"--synthetic must be comma-separated key=value items "
                              f"with no empty item, got {spec!r}")
         if "=" not in item:
-            raise ValueError(f"bad synthetic spec item {item!r}, expected key=value")
+            raise ValueError(f"--synthetic item {item!r} is not key=value")
         key, value = (t.strip() for t in item.split("=", 1))
         if key not in SYNTHETIC_SPEC_KEYS:
-            raise ValueError(f"unknown synthetic spec key {key!r}")
+            raise ValueError(f"--synthetic key {key!r} is unknown; the keys are "
+                             f"{', '.join(SYNTHETIC_SPEC_KEYS)}")
         keyword, parse = SYNTHETIC_SPEC_KEYS[key]
         if keyword in kwargs:
-            raise ValueError(f"synthetic spec key {key!r} given twice")
+            raise ValueError(f"--synthetic key {key!r} given twice")
         try:
             kwargs[keyword] = parse(value)
         except ValueError as exc:
-            raise ValueError(f"synthetic spec key {key!r} has a bad value {value!r}") from exc
+            raise ValueError(f"--synthetic key {key!r} has a bad value {value!r}") from exc
     for key in ("n", "k", "dims"):
         if SYNTHETIC_SPEC_KEYS[key][0] not in kwargs:
-            raise ValueError(f"synthetic spec missing key {key!r}")
+            raise ValueError(f"--synthetic is missing key {key!r}")
     return kwargs
 
 

@@ -77,16 +77,19 @@ def test_parse_synthetic_spec():
     assert kwargs == dict(
         n=60, k=4, view_dims=[10, 20], noise_sigma=0.2, seed=3, nuisance_dim=2
     )
-    with pytest.raises(ValueError, match="unknown synthetic spec key"):
-        _parse_synthetic_spec("n=60,k=4,dims=10,views=3")
-    with pytest.raises(ValueError, match="missing"):
-        _parse_synthetic_spec("n=60,k=4")
-    with pytest.raises(ValueError, match="key=value"):
-        _parse_synthetic_spec("n=60,k")
-    with pytest.raises(ValueError, match="synthetic spec key 'dims'"):
-        _parse_synthetic_spec("n=60,k=4,dims=10/x")
-    with pytest.raises(ValueError, match=r"^synthetic spec key 'n' given twice$"):
-        _parse_synthetic_spec("n=30,k=3,dims=5/6,n=40")
+    # every error names the flag
+    for spec, error in [
+        ("n=60,k=4,dims=10,views=3",
+         "--synthetic key 'views' is unknown; the keys are "
+         "n, k, dims, sigma, seed, nuisance-dim, nuisance-scale, name"),
+        ("n=60,k=4", "--synthetic is missing key 'dims'"),
+        ("n=60,k", "--synthetic item 'k' is not key=value"),
+        ("n=60,k=4,dims=10/x", "--synthetic key 'dims' has a bad value '10/x'"),
+        ("n=30,k=3,dims=5/6,n=40", "--synthetic key 'n' given twice"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            _parse_synthetic_spec(spec)
+        assert str(info.value) == error
     spaced = _parse_synthetic_spec(" n = 60, k=4 ,dims= 10/20 ,name= x ")
     assert spaced == dict(n=60, k=4, view_dims=[10, 20], name="x")
     for spec in ("n=300,,k=3,dims=40/60", "n=300,k=3,dims=40/60,", "n=300, ,k=3,dims=40/60"):
@@ -716,8 +719,8 @@ def test_grid_rejects_a_layer_scheme_no_data_admits_before_any_fit(
     (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", "6,x"], "--dims"),
     (["grid", "--synthetic", SMALL_SPEC, "--p2-l1", "2,y"], "--p2-l1"),
     (["run", "--synthetic", "n=abc,k=3,dims=10/14", "--lambda", "1", "--dims", "6,3"],
-     "synthetic spec key 'n'"),
-    (["grid", "--synthetic", "n=40,k=3,dims=10/14,sigma=wide"], "synthetic spec key 'sigma'"),
+     "--synthetic key 'n'"),
+    (["grid", "--synthetic", "n=40,k=3,dims=10/14,sigma=wide"], "--synthetic key 'sigma'"),
 ])
 def test_fit_commands_name_the_flag_of_an_unparsable_value(tmp_path, capsys, argv, flag):
     _assert_names_flag(tmp_path, capsys, argv, flag)

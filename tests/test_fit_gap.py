@@ -22,12 +22,15 @@ OLD = {
     ("fit", {"sha": "c", "objectives": [-1.0, -2.0 * (1 + 2**-52)]}, True,
      ["labels equal, iterations 2/2, max relative objective gap 2.22e-16",
       "1 of 2 outputs bit-identical"]),
-    ("fit", {"sha": "c", "labels": [1, 0, 0]}, False, ["labels DIFFER"]),
+    ("fit", {"sha": "c", "labels": [1, 0, 0]}, False,
+     ["labels DIFFER (the same partition, relabelled)"]),
+    ("fit", {"sha": "c", "labels": [0, 0, 1]}, False, ["labels DIFFER (another partition)"]),
+    ("fit", {"sha": "c", "labels": [0, 1, 2]}, False, ["labels DIFFER (another partition)"]),
     ("fit", {"sha": "c", "objectives": [-1.0, -2.0, -2.5]}, False, ["iterations 2/3"]),
     ("fit eval", None, False, ["only in OLD", "1 of 2 outputs bit-identical"]),
     ("fit eval", {"sha": "c"}, True, ["differs", "1 of 2 outputs bit-identical"]),
-], ids=["identical", "rounding-gap", "labels-differ", "iterations-differ", "one-side-only",
-        "file-differs"])
+], ids=["identical", "rounding-gap", "labels-relabelled", "labels-repartitioned",
+        "labels-split", "iterations-differ", "one-side-only", "file-differs"])
 def test_compare(capsys, name, record, same, printed):
     """NEW is OLD with `name`'s record updated by `record`, or without it when None."""
     new = {key: dict(value) for key, value in OLD.items()}

@@ -15,8 +15,9 @@ checkout's mvfuse runs in its own subprocess and produces 31 outputs:
   `--seed 0` with `--threads 1`, the serial path.
 
 It prints one line per output: `identical` when the digests match; for any
-other fit, whether the labels are equal, both iteration counts and the
-largest relative gap between the objective traces over their common
+other fit, whether the labels are equal (and, when they differ, whether they
+number the same partition's clusters differently), both iteration counts and
+the largest relative gap between the objective traces over their common
 iterations; `differs` for any other file. Then `N of M outputs
 bit-identical`. It exits 1 when the checkouts produce different outputs or
 any fit's labels or iteration count differ, and 0 otherwise; the objective
@@ -164,6 +165,11 @@ def collect(checkout: str) -> dict:
     return {rec["name"]: rec for rec in records}
 
 
+def same_partition(a, b) -> bool:
+    """Labels a and b split the samples into the same clusters, numbered alike or not."""
+    return len(a) == len(b) and len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
 def compare(old: dict, new: dict) -> bool:
     """Print one line per output and the identical count; True when both sides
     have the same outputs and every fit's labels and iteration count agree."""
@@ -184,7 +190,13 @@ def compare(old: dict, new: dict) -> bool:
             a, b = np.array(x["objectives"]), np.array(y["objectives"])
             common = min(a.size, b.size)
             gap = np.abs(b[:common] - a[:common]) / np.maximum(np.abs(a[:common]), np.finfo(float).tiny)
-            print(f"{name:<44} labels {'equal' if same_labels else 'DIFFER'}, "
+            if same_labels:
+                labels = "labels equal"
+            elif same_partition(x["labels"], y["labels"]):
+                labels = "labels DIFFER (the same partition, relabelled)"
+            else:
+                labels = "labels DIFFER (another partition)"
+            print(f"{name:<44} {labels}, "
                   f"iterations {a.size}/{b.size}, max relative objective gap {gap.max():.2e}")
             ok = ok and same_labels and a.size == b.size
     print(f"{identical} of {len(old.keys() | new.keys())} outputs bit-identical")
