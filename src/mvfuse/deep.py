@@ -100,12 +100,14 @@ def expanded_loss(x, x_sq: float, basis, products, h) -> float:
 
     The semi-NMF algebra of Ding, Li & Jordan (2010),
     ||x - phi h||^2 = ||x||^2 - 2 <a, h> + <G, h h^T> with x_sq = ||x||^2,
-    costs O(k^2 n) against reconstruction_loss's d x n rebuild. Every term,
-    and the rounding of a and G, is bounded by (||x|| + || |phi| h ||)^2,
-    so the expansion rounds by at most 4 (d + k n) eps times that. A result
-    not above this bound, where phi h fits x almost exactly and the terms
-    cancel, or not finite, is recomputed directly by reconstruction_loss:
-    the loss of a view that phi h fits exactly is never negative.
+    costs O(k^2 n) against reconstruction_loss's d x n rebuild. The three
+    terms, and what the rounding of a and G adds to them, are at most
+    (||x|| + || |phi| h ||)^2 in size, so 4 (d + k n) eps times that bounds
+    the expansion's rounding; |phi| counts because a and G cancel inside
+    when h is ill-conditioned. A result not above this bound, where phi h
+    fits x almost exactly and the terms cancel, or not finite, is
+    recomputed directly by reconstruction_loss: the loss of a view that
+    phi h fits exactly is never negative.
     """
     a, gram = products
     hht = h @ h.T

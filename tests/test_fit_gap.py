@@ -29,8 +29,8 @@ OLD = {
     ("fit", {"sha": "c", "objectives": [-1.0, -2.0, -2.5]}, False, ["iterations 2/3"]),
     ("fit eval", None, False, ["only in OLD", "1 of 2 outputs bit-identical"]),
     ("fit eval", {"sha": "c"}, True, ["differs", "1 of 2 outputs bit-identical"]),
-], ids=["identical", "rounding-gap", "labels-relabelled", "labels-repartitioned",
-        "labels-split", "iterations-differ", "one-side-only", "file-differs"])
+], ids=["identical", "rounding-gap", "labels-differ", "labels-differ-repartitioned",
+        "labels-differ-split", "iterations-differ", "one-side-only", "file-differs"])
 def test_compare(capsys, name, record, same, printed):
     """NEW is OLD with `name`'s record updated by `record`, or without it when None."""
     new = {key: dict(value) for key, value in OLD.items()}
