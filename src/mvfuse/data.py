@@ -380,6 +380,16 @@ def save_dataset(
     return manifest_path
 
 
+@contextmanager
+def _scale_overflow(name: str, scale: float, view: int):
+    """Turn a floating-point overflow inside the block into a ValueError naming the scale."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{name}={scale:g} overflows view {view}") from None
+
+
 def generate_synthetic(
     n: int,
     k: int,
@@ -418,7 +428,7 @@ def generate_synthetic(
     indicator = np.zeros((k, n))
     indicator[labels, np.arange(n)] = 1.0
     views = []
-    for d in view_dims:
+    for v, d in enumerate(view_dims):
         d = int(d)
         if d < 1:
             raise ValueError(f"view dims must be positive, got {d}")
@@ -430,9 +440,11 @@ def generate_synthetic(
             # per-sample nuisance-to-signal energy ratio, independent of d.
             directions = np.linalg.qr(rng.standard_normal((d, nuisance_dim)))[0]
             codes = rng.standard_normal((nuisance_dim, n))
-            gain = nuisance_scale * np.sqrt(d / nuisance_dim)
-            x = x + gain * (directions @ codes)
+            with _scale_overflow("nuisance_scale", nuisance_scale, v):
+                gain = nuisance_scale * np.sqrt(d / nuisance_dim)
+                x = x + gain * (directions @ codes)
         if noise_sigma > 0:
-            x = x + noise_sigma * rng.standard_normal((d, n))
+            with _scale_overflow("noise_sigma", noise_sigma, v):
+                x = x + noise_sigma * rng.standard_normal((d, n))
         views.append(x)
     return MultiViewDataset(views=views, truth=labels, k=k, name=name).validate()

@@ -8,16 +8,17 @@ x pinv(h_m), and nothing reads the inner representations, so pretraining
 hands on h_m alone. Each fine-tuning sweep derives the one basis
 phi = x pinv(h_m) by an exact least-squares refit, then takes a
 multiplicative step on h_m that also feels the consensus-alignment pull.
-The step's products phi^T x and phi^T phi also give the sweep's
-reconstruction loss, so phi lives only inside the sweep. Every update is a
-function of arrays that writes into none of them.
+The step's products phi^T x and phi^T phi, all that it reads of x and phi,
+also give the sweep's reconstruction loss, so phi lives only inside the
+sweep. Every update is a function of arrays that writes into none of them;
+pipeline.init_state checks a fit's inputs once, so no update checks them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mvfuse.linalg import NumericalError, as_matrix
+from mvfuse.linalg import NumericalError
 # Unused here; kept because the benchmark's tracer wraps this module attribute.
 from mvfuse.linalg import pinv  # noqa: F401
 from mvfuse.seminmf import fit_layer, multiplicative_step, refit_basis, step_products
@@ -52,7 +53,7 @@ def pretrain_view(x, dims, iters: int, seeds) -> np.ndarray:
     Layer j is seeded by k-means with seed seeds[j]; there is one seed per width.
     Returns the last layer's representation h_m.
     """
-    h = as_matrix(x, "x")
+    h = x
     for width, seed in zip(dims, seeds, strict=True):
         h = fit_layer(h, width, iters=iters, seed=seed)
     return h
@@ -63,26 +64,22 @@ def update_basis(x, h) -> np.ndarray:
     return refit_basis(x, h)
 
 
-def update_hidden(x, basis, h, weight=1.0, pull=None, products=None) -> np.ndarray:
-    """Multiplicative step on h_m against the basis phi; see multiplicative_step."""
-    return multiplicative_step(x, basis, h, weight=weight, pull=pull, products=products)
+def update_hidden(products, h, weight, pull) -> np.ndarray:
+    """Multiplicative step on h_m from step_products(x, phi); see multiplicative_step."""
+    return multiplicative_step(products, h, weight=weight, pull=pull)
 
 
-def update_partition(x, basis, h, consensus, rotation, alpha_v: float, beta_v: float, lam: float,
-                     products=None):
+def update_partition(products, h, consensus, rotation, alpha_v: float, beta_v: float, lam: float):
     """Multiplicative step on the last-layer partition h_m.
 
-    Descends alpha_v^2 ||x - phi h_m||^2 - lam beta_v tr(consensus h_m^T rotation):
-    the reconstruction pull and the consensus-alignment pull share one rule,
+    Descends alpha_v^2 ||x - phi h_m||^2 - lam beta_v tr(consensus h_m^T rotation)
+    from products = step_products(x, phi): the reconstruction pull and the
+    consensus-alignment pull share one rule,
     update_hidden's, with the weight 2 alpha_v^2 and the pull
     lam beta_v rotation @ consensus. With lam == 0 the pull vanishes.
-    `products` is step_products(x, basis) when the caller holds it already.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     return update_hidden(
-        x, basis, h, weight=2.0 * alpha_v * alpha_v, pull=lam * beta_v * (rotation @ consensus),
-        products=products,
+        products, h, weight=2.0 * alpha_v * alpha_v, pull=lam * beta_v * (rotation @ consensus)
     )
 
 
@@ -102,12 +99,13 @@ def expanded_loss(x, x_sq: float, basis, products, h) -> float:
     ||x - phi h||^2 = ||x||^2 - 2 <a, h> + <G, h h^T> with x_sq = ||x||^2,
     costs O(k^2 n) against reconstruction_loss's d x n rebuild. The three
     terms, and what the rounding of a and G adds to them, are at most
-    (||x|| + || |phi| h ||)^2 in size, so 4 (d + k n) eps times that bounds
-    the expansion's rounding; |phi| counts because a and G cancel inside
-    when h is ill-conditioned. A result not above this bound, where phi h
-    fits x almost exactly and the terms cancel, or not finite, is
-    recomputed directly by reconstruction_loss: the loss of a view that
-    phi h fits exactly is never negative.
+    (||x|| + || |phi| h ||)^2 in size, so bound = 4 (d + k n) eps times that
+    bounds the expansion's rounding; |phi| counts because a and G cancel
+    inside when h is ill-conditioned. A result not above both bound and
+    sqrt(bound x_sq), which caps a kept result's relative error at
+    sqrt(bound / x_sq), or not finite, is recomputed directly by
+    reconstruction_loss: the loss of a view that phi h fits exactly is never
+    negative.
     """
     a, gram = products
     hht = h @ h.T
@@ -116,7 +114,8 @@ def expanded_loss(x, x_sq: float, basis, products, h) -> float:
     loss = x_sq - 2.0 * cross + fit_sq
     magnitude = np.abs(basis)
     size = (np.sqrt(x_sq) + np.sqrt(np.sum((magnitude.T @ magnitude) * hht))) ** 2
-    if 4.0 * (x.shape[0] + h.size) * _EPS * size < loss < np.inf:  # NaN fails both
+    bound = 4.0 * (x.shape[0] + h.size) * _EPS * size
+    if max(bound, np.sqrt(bound * x_sq)) < loss < np.inf:  # NaN fails both
         return loss
     return reconstruction_loss(x, basis, h)
 
@@ -142,22 +141,19 @@ def fix_partition_gauge(h) -> np.ndarray:
     return h / scale[:, None]
 
 
-def sweep_view(x, h, consensus, rotation, alpha_v, beta_v, lam, x_sq=None):
+def sweep_view(x, h, consensus, rotation, alpha_v, beta_v, lam, x_sq):
     """One fine-tuning pass over a view: the basis refit, the partition step,
     then the gauge fix that pins the partition scale.
 
     Returns (loss, h): the view's reconstruction loss ||x - phi h_m||^2 of
     the new partition against the refit basis phi = x pinv(h_m) that it was
-    stepped against, and the new partition. expanded_loss takes the loss from
-    the step's own products; x_sq is ||x||^2, which a fit takes once per
-    view, and is computed here when not given. A pretrained chain of any
-    depth enters only through its h_m.
+    stepped against, and the new partition. The partition step and
+    expanded_loss share the one step_products(x, phi); x_sq is ||x||^2, which
+    a fit takes once per view. A pretrained chain of any depth enters only
+    through its h_m.
     """
     basis = update_basis(x, h)
     products = step_products(x, basis)
-    h = fix_partition_gauge(
-        update_partition(x, basis, h, consensus, rotation, alpha_v, beta_v, lam, products=products)
-    )
-    if x_sq is None:
-        x_sq = float(np.sum(x * x))
+    h = update_partition(products, h, consensus, rotation, alpha_v, beta_v, lam)
+    h = fix_partition_gauge(h)
     return expanded_loss(x, x_sq, basis, products, h), h

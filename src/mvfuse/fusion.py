@@ -5,7 +5,9 @@ partition through a per-view rotation w; alpha weights reconstruction
 quality, beta weights alignment quality. Each step is its block's exact
 optimum; alpha's holds even when every view reconstructs exactly, and
 beta's even when no view aligns positively. Every step is a function of
-plain arrays; pipeline.fit holds h, w, alpha and beta between steps.
+plain arrays that the fit built from inputs pipeline.init_state checked, and
+only update_alpha checks what it reads; pipeline.fit holds h, w, alpha and
+beta between steps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 # Unused here; kept because the benchmark's tracer wraps this module attribute.
 from mvfuse.deep import reconstruction_loss  # noqa: F401
-from mvfuse.linalg import as_matrix, procrustes_max
+from mvfuse.linalg import procrustes_max
 
 
 def update_consensus(partitions, rotations, beta):
@@ -23,18 +25,9 @@ def update_consensus(partitions, rotations, beta):
     Maximizes tr(h @ sum_v beta_v partition_v.T @ rotation_v). Returns
     (h, degenerate); callers keep their previous h on a rank-deficient sum.
     """
-    if len(partitions) == 0 or len(partitions) != len(rotations):
-        raise ValueError("need one partition and one rotation per view")
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (len(partitions),):
-        raise ValueError(f"beta must have one weight per view, got shape {beta.shape}")
     k, n = partitions[0].shape
     u = np.zeros((n, k))
-    for b, hm, w in zip(beta, partitions, rotations):
-        if hm.shape != (k, n):
-            raise ValueError(f"partition shape {hm.shape} does not match {(k, n)}")
-        if w.shape != (k, k):
-            raise ValueError(f"rotation shape {w.shape} does not match {(k, k)}")
+    for b, hm, w in zip(beta, partitions, rotations, strict=True):
         u += b * (hm.T @ w)
     return procrustes_max(u)
 
@@ -46,12 +39,6 @@ def update_rotation(partition, consensus, beta_v: float):
     trace argument as the consensus step, w is p @ qt from the SVD of q.
     Returns (w, degenerate); callers keep their previous w on a degenerate q.
     """
-    partition = as_matrix(partition, "partition")
-    consensus = as_matrix(consensus, "consensus")
-    if partition.shape != consensus.shape:
-        raise ValueError(
-            f"partition {partition.shape} and consensus {consensus.shape} must match"
-        )
     q = beta_v * (partition @ consensus.T)
     h, degenerate = procrustes_max(q)
     return h.T, degenerate

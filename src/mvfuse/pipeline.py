@@ -154,7 +154,10 @@ def shared_pretraining():
 def init_state(dataset: MultiViewDataset, hp: HyperParams) -> list:
     """Pretrain every view: the list of each view's gauge-fixed partition h_m.
 
-    This is pretraining alone; fit starts fusion from neutral weights.
+    This is the one place a fit's inputs are checked: hp, the dataset and the
+    layer widths against every view and the sample count. No step after it
+    checks them again. This is pretraining alone; fit starts fusion from
+    neutral weights.
     Pretraining is greedy and layer-wise, so it never sees the alignment
     term: hp.lam is never read here. Inside a shared_pretraining() block the
     partitions are memoised per (dataset, dims, seed, pretrain_iters), with

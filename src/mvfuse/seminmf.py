@@ -6,14 +6,16 @@ z = x pinv(h), computed as Ding et al. write it, x h^T (h h^T)^-1, through
 the small l x l Gram. An ill-conditioned or singular Gram (a zero or
 repeated row of h) falls back to the SVD pinv. A pretraining layer is h
 alone: init_layer seeds it and fit_layer returns it, and every step
-re-derives the basis from h, so no layer hands a basis on.
+re-derives the basis from h, so no layer hands a basis on. A step reads x
+and the basis only through step_products; pipeline.init_state checks a fit's
+inputs once, so nothing here checks them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mvfuse.linalg import as_matrix, gram_inverse, neg_part, pinv, pos_part
+from mvfuse.linalg import gram_inverse, neg_part, pinv, pos_part
 from mvfuse.metrics import kmeans
 
 # Additive guard for the denominators of all multiplicative updates.
@@ -29,15 +31,15 @@ def step_products(x, basis):
     return basis.T @ x, basis.T @ basis
 
 
-def multiplicative_step(x, basis, h, weight=1.0, pull=None, products=None):
+def multiplicative_step(products, h, weight=1.0, pull=None):
     """One Ding-style step on h >= 0 descending weight/2 ||x - basis @ h||^2 - tr(h^T pull).
 
+    products is step_products(x, basis), all the step reads of x and the basis.
     With pull=None this is the plain semi-NMF step; otherwise the positive and
     negative parts of pull join the weighted numerator and denominator. Entries
-    of h that are exactly zero stay zero. `products` is
-    step_products(x, basis) when the caller holds it already.
+    of h that are exactly zero stay zero.
     """
-    a, gram = step_products(x, basis) if products is None else products
+    a, gram = products
     num = weight * (pos_part(a) + neg_part(gram) @ h)
     den = weight * (neg_part(a) + pos_part(gram) @ h)
     if pull is not None:
@@ -57,12 +59,9 @@ def init_layer(x, width: int, seed: int) -> np.ndarray:
     """Seed one layer's representation h from k-means on the columns of x.
 
     h is the cluster indicator matrix plus a 0.2 offset (strictly positive,
-    so no row is all zero).
+    so no row is all zero). The caller keeps width <= min(d, n).
     """
-    x = as_matrix(x, "x")
-    d, n = x.shape
-    if not 1 <= width <= min(d, n):
-        raise ValueError(f"layer width must satisfy 1 <= width <= min(d, n) = {min(d, n)}, got {width}")
+    n = x.shape[1]
     labels = kmeans(x.T, width, restarts=INIT_KMEANS_RESTARTS, seed=seed)
     h = np.full((width, n), 0.2)
     h[labels, np.arange(n)] += 1.0
@@ -71,9 +70,7 @@ def init_layer(x, width: int, seed: int) -> np.ndarray:
 
 def fit_layer(x, width: int, iters: int, seed: int) -> np.ndarray:
     """Seed h by init_layer, then alternate exact basis refits and h steps; returns h."""
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
     h = init_layer(x, width, seed=seed)
     for _ in range(iters):
-        h = multiplicative_step(x, refit_basis(x, h), h)
+        h = multiplicative_step(step_products(x, refit_basis(x, h)), h)
     return h

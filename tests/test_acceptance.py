@@ -27,7 +27,7 @@ from mvfuse.fusion import update_alpha, update_beta, update_rotation
 from mvfuse.linalg import procrustes_max
 from mvfuse.metrics import accuracy, hungarian, kmeans, nmi, purity
 from mvfuse.pipeline import fit
-from mvfuse.seminmf import multiplicative_step
+from mvfuse.seminmf import multiplicative_step, step_products
 
 
 def _report(number, ok: bool, detail: str = "") -> None:
@@ -230,7 +230,7 @@ def test_criterion_6_multiplicative_monotonicity():
         h = rng.uniform(0.05, 1.0, size=(5, 15))
         prev = np.linalg.norm(x - basis @ h) ** 2
         for _ in range(50):
-            h = multiplicative_step(x, basis, h)
+            h = multiplicative_step(step_products(x, basis), h)
             value = np.linalg.norm(x - basis @ h) ** 2
             plain_ok &= value <= prev + slack
             prev = value
@@ -251,7 +251,8 @@ def test_criterion_6_multiplicative_monotonicity():
 
         prev = value(hm)
         for _ in range(50):
-            hm = update_partition(x, phi, hm, consensus, rotation, alpha_v, beta_v, lam)
+            products = step_products(x, phi)
+            hm = update_partition(products, hm, consensus, rotation, alpha_v, beta_v, lam)
             cur = value(hm)
             partition_ok &= cur <= prev + slack
             prev = cur

@@ -260,6 +260,14 @@ def test_fit_commands_reject_an_out_under_a_file_before_any_fit(
     assert (tmp_path / "afile").read_text() == "keep\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_names_the_synthetic_scale_that_overflows(tmp_path, capsys):
+    argv = ["run", "--synthetic", "n=30,k=3,dims=4/5,sigma=1e308", "--out", str(tmp_path),
+            "--lambda", "1", "--dims", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: noise_sigma=1e+308 overflows view 0\n"
+
+
 @pytest.mark.parametrize("command", ["run", "grid"])
 def test_fit_commands_reject_nonpositive_repeats(tmp_path, capsys, command):
     argv = [command, "--synthetic", SMALL_SPEC, "--repeats", "0", "--out", str(tmp_path)]

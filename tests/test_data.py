@@ -443,3 +443,14 @@ def test_synthetic_rejects_bad_arguments():
         generate_synthetic(n=30, k=3, view_dims=[5], nuisance_dim=6)
     with pytest.raises(ValueError, match="positive"):
         generate_synthetic(n=30, k=3, view_dims=[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scales, match", [
+    (dict(noise_sigma=1e308), "noise_sigma=1e[+]308 overflows view 0"),
+    (dict(nuisance_dim=2, nuisance_scale=1e308), "nuisance_scale=1e[+]308 overflows view 0"),
+    (dict(nuisance_dim=2, nuisance_scale=-1e308), "nuisance_scale=-1e[+]308 overflows view 0"),
+], ids=["noise", "nuisance", "negative-nuisance"])
+def test_synthetic_names_a_finite_scale_that_overflows_a_view(scales, match):
+    with pytest.raises(ValueError, match=match):
+        generate_synthetic(n=30, k=3, view_dims=[4, 5], **scales)

@@ -75,8 +75,6 @@ def test_consensus_validates_inputs():
     rng = np.random.default_rng(53)
     partitions, rotations = _random_views(rng)
     with pytest.raises(ValueError):
-        update_consensus([], [], [])
-    with pytest.raises(ValueError):
         update_consensus(partitions, rotations[:1], [0.5, 0.5])
     with pytest.raises(ValueError):
         update_consensus(partitions, rotations, [0.5])

@@ -139,14 +139,37 @@ def test_every_kmeans_call_of_a_fit_takes_its_seed_from_the_layout(monkeypatch):
     assert calls == expect + [("final", seed)]
 
 
-def test_init_state_validates_layer_scheme():
+def _nan_entry():
     ds = _small_dataset()
-    with pytest.raises(ValueError, match="last layer width"):
-        init_state(ds, HyperParams(lam=1.0, dims=[6, 4]))
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        init_state(ds, HyperParams(lam=1.0, dims=[3, 3]))
-    with pytest.raises(ValueError, match="smallest view dimension"):
-        init_state(ds, HyperParams(lam=1.0, dims=[11, 3]))
+    ds.views[0][0, 0] = np.nan
+    return ds
+
+
+def _short_view():
+    ds = _small_dataset()
+    ds.views[1] = ds.views[1][:, 1:]
+    return ds
+
+
+@pytest.mark.parametrize("make_dataset, overrides, match", [
+    (_small_dataset, dict(dims=[6, 4]), "last layer width"),
+    (_small_dataset, dict(dims=[3, 3]), "strictly decreasing"),
+    (_small_dataset, dict(dims=[11, 3]), "smallest view dimension"),
+    (lambda: _small_dataset(n=15, view_dims=[20, 24]), dict(dims=[16, 3]), "sample count"),
+    (_small_dataset, dict(lam=-1.0), "lam"),
+    (_small_dataset, dict(pretrain_iters=-1), "pretrain_iters"),
+    (_nan_entry, {}, "non-finite"),
+    (_short_view, {}, "has 39 samples, expected 40"),
+], ids=["last-width", "not-decreasing", "wider-than-view", "wider-than-n", "negative-lam",
+        "negative-pretrain-iters", "non-finite-entry", "sample-count-mismatch"])
+def test_fit_checks_every_input_before_pretraining(monkeypatch, make_dataset, overrides, match):
+    # init_state is the one home of a fit's input checks: nothing is pretrained first
+    def never(*args):
+        raise AssertionError("pretrain_view ran before the inputs were checked")
+
+    monkeypatch.setattr(pipeline_module, "pretrain_view", never)
+    with pytest.raises(ValueError, match=match):
+        fit(make_dataset(), HyperParams(**{"lam": 1.0, "dims": [6, 3], **overrides}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Compare the outputs of two checkouts: bit-identical, or equal up to rounding.
 
 Run `python3 tools/fit_gap.py OLD NEW` with two checkout directories. Each
-checkout's mvfuse runs in its own subprocess and produces 31 outputs:
+checkout's mvfuse runs in its own subprocess and produces 32 outputs:
 
-- seven fits (`FITS`; the seventh skips pretraining's multiplicative steps)
-  and the 16 fits that `grid` runs for `GRID_ARGS` at `--seed 0 --threads 1`.
+- eight fits (`FITS`; the seventh skips pretraining's multiplicative steps,
+  and the eighth's near-noiseless views drive the sweep's loss expansion
+  to its fallback margin) and the 16 fits that `grid` runs for `GRID_ARGS`
+  at `--seed 0 --threads 1`.
   A fit's digest covers its consensus h, labels and objective trace, its
   per-iteration per-view losses, alpha and beta, and its per-iteration
   constraint residuals, smallest partition entry and degenerate-step flags;
@@ -41,6 +43,8 @@ import numpy as np
 # tests/conftest.py's benchmark dataset, and its nuisance variant.
 BENCHMARK = dict(n=300, k=3, view_dims=[40, 60, 80], noise_sigma=0.1, seed=0)
 NUISANCE = dict(BENCHMARK, nuisance_dim=9, nuisance_scale=2.0)
+# The benchmark dataset almost without noise: phi h fits each view nearly exactly.
+NEAR_EXACT = dict(BENCHMARK, noise_sigma=1e-6)
 # The fit-large benchmark workload's dataset.
 LARGE = dict(n=3000, k=5, view_dims=[100, 200, 300], noise_sigma=0.1, seed=0)
 
@@ -53,6 +57,7 @@ FITS = [
     ("nuisance-12.6.3", NUISANCE, [12, 6, 3], 2.0**-12, 30, 3, 50),
     ("large-seed0", LARGE, [20, 5], 1.0, 50, 0, 50),
     ("benchmark-pretrain0", BENCHMARK, [12, 3], 1.0, 150, 0, 0),
+    ("benchmark-near-exact", NEAR_EXACT, [12, 3], 1.0, 150, 0, 50),
 ]
 # The fit whose labels `eval` scores.
 EVAL_FIT = "benchmark-seed0"
