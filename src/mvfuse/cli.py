@@ -15,6 +15,7 @@ from mvfuse.data import (
     DEFAULT_NORMALIZATION,
     MATRIX_FORMATS,
     NORMALIZATION_SCHEMES,
+    MultiViewDataset,
     generate_synthetic,
     load_dataset,
     normalize_dataset,
@@ -133,6 +134,12 @@ def _parse_synthetic_spec(spec: str) -> dict:
     return kwargs
 
 
+def _synthetic_dataset(spec: str) -> MultiViewDataset:
+    """The raw dataset of a --synthetic spec; every error names --synthetic and its key."""
+    names = {keyword: f"--synthetic {key}" for key, (keyword, _) in SYNTHETIC_SPEC_KEYS.items()}
+    return generate_synthetic(**_parse_synthetic_spec(spec), names=names)
+
+
 def _load_data(args):
     """Check the options run and grid share; return the normalized dataset,
     which records the scheme applied to it."""
@@ -148,7 +155,7 @@ def _load_data(args):
         raise ValueError("provide exactly one of --manifest or --synthetic")
     if args.manifest:
         return load_dataset(args.manifest, normalization=args.norm)
-    dataset = generate_synthetic(**_parse_synthetic_spec(args.synthetic))
+    dataset = _synthetic_dataset(args.synthetic)
     return normalize_dataset(dataset, args.norm or DEFAULT_NORMALIZATION)
 
 
@@ -317,7 +324,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    ds = generate_synthetic(**_parse_synthetic_spec(args.synthetic))
+    ds = _synthetic_dataset(args.synthetic)
     manifest = save_dataset(ds, args.out, fmt=args.format, normalization=args.norm)
     print(f"wrote {manifest}")
     return 0

@@ -399,6 +399,7 @@ def generate_synthetic(
     nuisance_dim: int = 0,
     nuisance_scale: float = 1.0,
     name: str = "synth",
+    names=None,
 ) -> MultiViewDataset:
     """Planted multi-view clustering data.
 
@@ -407,19 +408,27 @@ def generate_synthetic(
     Gaussian noise of scale noise_sigma. With nuisance_dim > 0 each view also
     receives a private rank-nuisance_dim component of scale nuisance_scale --
     structure that is real but carries no cluster signal, and differs per view.
+    An error labels an argument by names[keyword], else by its keyword; names
+    changes no output. The dataset is not validated here: every caller that
+    reads it (normalize_dataset, save_dataset, a fit) validates it.
     """
+    names = names or {}
+
+    def label(keyword):
+        return names.get(keyword, keyword)
+
     if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+        raise ValueError(f"need {label('k')} >= 2, got {k}")
     if n < 5 * k:
-        raise ValueError(f"need n >= 5k = {5 * k}, got {n}")
+        raise ValueError(f"need {label('n')} >= 5k = {5 * k}, got {n}")
     if not 0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+        raise ValueError(f"{label('noise_sigma')} must be finite and >= 0, got {noise_sigma}")
     if not np.isfinite(nuisance_scale):
-        raise ValueError(f"nuisance_scale must be finite, got {nuisance_scale}")
+        raise ValueError(f"{label('nuisance_scale')} must be finite, got {nuisance_scale}")
     if nuisance_dim < 0:
-        raise ValueError("nuisance_dim must be >= 0")
+        raise ValueError(f"{label('nuisance_dim')} must be >= 0, got {nuisance_dim}")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"{label('seed')} must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     counts = np.full(k, n // k)
     counts[: n % k] += 1
@@ -431,20 +440,20 @@ def generate_synthetic(
     for v, d in enumerate(view_dims):
         d = int(d)
         if d < 1:
-            raise ValueError(f"view dims must be positive, got {d}")
+            raise ValueError(f"{label('view_dims')} must be positive, got {d}")
         x = rng.standard_normal((d, k)) @ indicator
         if nuisance_dim > 0:
             if nuisance_dim > d:
-                raise ValueError(f"nuisance_dim {nuisance_dim} exceeds view dim {d}")
+                raise ValueError(f"{label('nuisance_dim')} {nuisance_dim} exceeds view dim {d}")
             # Orthonormal basis plus sqrt(d/q) scaling makes nuisance_scale the
             # per-sample nuisance-to-signal energy ratio, independent of d.
             directions = np.linalg.qr(rng.standard_normal((d, nuisance_dim)))[0]
             codes = rng.standard_normal((nuisance_dim, n))
-            with _scale_overflow("nuisance_scale", nuisance_scale, v):
+            with _scale_overflow(label("nuisance_scale"), nuisance_scale, v):
                 gain = nuisance_scale * np.sqrt(d / nuisance_dim)
                 x = x + gain * (directions @ codes)
         if noise_sigma > 0:
-            with _scale_overflow("noise_sigma", noise_sigma, v):
+            with _scale_overflow(label("noise_sigma"), noise_sigma, v):
                 x = x + noise_sigma * rng.standard_normal((d, n))
         views.append(x)
-    return MultiViewDataset(views=views, truth=labels, k=k, name=name).validate()
+    return MultiViewDataset(views=views, truth=labels, k=k, name=name)

@@ -15,25 +15,25 @@ LLOYD_STACK_FLOATS = 1 << 20
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
-def _sqdist_to_points(points, sq_points, twice, idx):
+def _sqdist_to_points(points, sq_points, idx):
     """Squared distances from every point to each points[idx[r]], one row per r.
 
-    ||p||^2 + ||c||^2 - 2 p.c costs one matrix-vector product per row:
-    np.matmul over the (R, d, 1) stack of centers makes one gemv per row, as
-    `twice @ points[i]` does alone. OpenBLAS's gemv adds in another order for
-    a strided vector than for a unit-stride one, so each center column is
-    strided exactly when points[i] is, and each row is bit for bit what it
-    would be alone. An entry not above the expansion's rounding bound, or not
-    finite, is recomputed directly as sum((p - c)**2), at most n entries at a
-    time so the transient stays n x d; a zero stays exactly zero and only
-    non-zero distances can differ from the direct form, in their last bits.
+    ||p||^2 + ||c||^2 - 2 p.c costs one gemv per row: np.matmul of `points`
+    with the (R, d, 1) stack of doubled centers. OpenBLAS's gemv adds in
+    another order for a strided vector than for a unit-stride one, so each
+    center column is strided exactly when points[i] is; each row is then bit
+    for bit (2 points) @ points[i] alone, as doubling is exact unless an
+    |entry| > 8.9e307, whose ||p||^2 is inf. An entry not above the rounding
+    bound, or not finite, is recomputed directly as sum((p - c)**2), at most
+    n entries at a time so the transient stays n x d; a zero stays exactly
+    zero and only non-zero distances can differ from the direct form.
     """
     n, d = points.shape
     stack = np.empty((len(idx), d, 1 if points.strides[1] == points.itemsize else 2))
-    stack[:, :, 0] = points[idx]
+    stack[:, :, 0] = 2.0 * points[idx]
     with np.errstate(over="ignore", invalid="ignore"):  # such entries are redone
         norms = sq_points + sq_points[idx][:, None]
-        d2 = norms - np.matmul(twice, stack[:, :, :1])[:, :, 0]
+        d2 = norms - np.matmul(points, stack[:, :, :1])[:, :, 0]
         tol = 4.0 * d * (_EPS * norms + _TINY)
     rows, cols = np.nonzero(~((d2 > tol) & (d2 < np.inf)))  # NaN fails both comparisons
     for s in range(0, rows.size, n):  # usually one pass: each center's own zero, few more
@@ -64,12 +64,12 @@ def _draw(d2, rngs):
     ])
 
 
-def _plusplus_centers(points, k, rngs, sq_points, twice):
+def _plusplus_centers(points, k, rngs, sq_points):
     """k-means++ seeding of a group of restarts in lock-step; returns (R, k, d).
 
     Restart r draws from its own generator rngs[r]: the first center uniform,
-    the rest D^2-weighted. `sq_points` and `twice` are kmeans's shared point
-    terms; each center step costs one stacked _sqdist_to_points, one minimum
+    the rest D^2-weighted. `sq_points` is kmeans's ||p||^2 for every point;
+    each center step costs one stacked _sqdist_to_points, one minimum
     and one _draw for all R restarts, and every restart draws the centers it
     would draw alone. Exact zeros keep points that coincide with a center at
     weight zero.
@@ -80,7 +80,7 @@ def _plusplus_centers(points, k, rngs, sq_points, twice):
     centers[:, 0] = points[idx]
     d2 = np.full((len(rngs), n), np.inf)
     for c in range(1, k):
-        np.minimum(d2, _sqdist_to_points(points, sq_points, twice, idx), out=d2)
+        np.minimum(d2, _sqdist_to_points(points, sq_points, idx), out=d2)
         idx = _draw(d2, rngs)
         centers[:, c] = points[idx]
     return centers
@@ -133,18 +133,18 @@ def _update_centers(rows, slots, labels, counts, centers):
             centers[r, c] = rows[labels[r] == c].mean(axis=0)
 
 
-def _lloyd(points, sq_points, twice, centers):
+def _lloyd(points, sq_points, centers):
     """Lloyd iterations from a stack of starts, advanced in lock-step.
 
     `centers` is (R, k, d), one start per restart; returns the (R, n) labels
-    and the (R,) inertias. `sq_points` and `twice` are kmeans's shared point
-    terms. The distances are computed on `points` as the caller laid them
-    out, because the summation order of a row reduction or a matmul follows
-    the memory layout; only the per-cluster means read a C-contiguous copy of
-    the points, one sparse indicator product per center step.
-    np.matmul over the stack makes one product per restart with that
-    restart's own operands, so every restart computes what it would alone,
-    bit for bit. A restart leaves the stack once its labels repeat.
+    and the (R,) inertias; `sq_points` is kmeans's ||p||^2. The distances
+    are computed on `points` as the caller laid them out, because the
+    summation order of a row reduction or a matmul follows the memory
+    layout; only the center sums read a C-contiguous copy. np.matmul with the
+    stack of doubled centers makes one product per restart with its own
+    operands, so every restart computes bit for bit what it would alone with
+    the points doubled: doubling is exact unless an |entry| > 8.9e307, whose
+    ||p||^2 is inf. A restart leaves the stack once its labels repeat.
     """
     n = points.shape[0]
     R, k, _ = centers.shape
@@ -159,7 +159,7 @@ def _lloyd(points, sq_points, twice, centers):
         m = alive.size
         d2, labels, slots = dist[:m], buf[:m], slot_buf[:m]
         np.add(sq_points[:, None], np.sum(centers**2, axis=2)[:, None, :], out=d2)
-        d2 -= np.matmul(twice, centers.transpose(0, 2, 1), out=prod[:m])
+        d2 -= np.matmul(points, (2.0 * centers).transpose(0, 2, 1), out=prod[:m])
         np.maximum(d2, 0.0, out=d2)  # clamp tiny negatives from cancellation
         np.argmin(d2, axis=2, out=labels)  # ties break to the lowest center index
         np.add(labels, offsets[:m], out=slots)
@@ -197,11 +197,13 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     indicator product for all of their center sums. Each restart's centers
     and labels equal what it draws and reaches alone.
     Seeding and Lloyd both use the expansion
-    ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c, so ||p||^2 and 2p are computed
-    once per call. The seeding recomputes directly every entry within the
-    expansion's rounding of zero, so points equal to a center keep D^2 weight
-    exactly zero. Raises ValueError when the squared distances, or the
-    squared norms that Lloyd's distances expand, overflow float64.
+    ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c with ||p||^2 computed once per
+    call; the products double the k centers, not the n points, and round
+    alike, since doubling is exact unless an |entry| > 8.9e307, whose
+    ||p||^2 overflows. The seeding recomputes directly every entry within
+    the expansion's rounding of zero, so points equal to a center keep D^2
+    weight exactly zero. Raises ValueError when the squared distances, or
+    the squared norms that Lloyd's distances expand, overflow float64.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -215,13 +217,13 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
         raise ValueError("restarts must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
+    sq_points = np.sum(points**2, axis=1)
     group = max(1, LLOYD_STACK_FLOATS // (n * k))
     best, best_inertia = None, np.inf
     for first in range(0, restarts, group):
         rngs = [np.random.default_rng(seed + r) for r in range(first, min(first + group, restarts))]
-        starts = _plusplus_centers(points, k, rngs, sq_points, twice)
-        labels, inertia = _lloyd(points, sq_points, twice, starts)
+        starts = _plusplus_centers(points, k, rngs, sq_points)
+        labels, inertia = _lloyd(points, sq_points, starts)
         inertia[~(inertia < np.inf)] = np.inf  # NaN is never the best
         r = int(np.argmin(inertia))  # the first of equal minima
         if best is None or inertia[r] < best_inertia:

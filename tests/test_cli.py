@@ -265,7 +265,7 @@ def test_run_names_the_synthetic_scale_that_overflows(tmp_path, capsys):
     argv = ["run", "--synthetic", "n=30,k=3,dims=4/5,sigma=1e308", "--out", str(tmp_path),
             "--lambda", "1", "--dims", "3"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: noise_sigma=1e+308 overflows view 0\n"
+    assert capsys.readouterr().err == "error: --synthetic sigma=1e+308 overflows view 0\n"
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
@@ -680,10 +680,12 @@ def test_fit_commands_name_the_flag_of_a_non_finite_value(tmp_path, capsys, argv
 def test_synth_names_a_negative_spec_seed(tmp_path, capsys):
     argv = ["synth", "--synthetic", "n=30,k=2,dims=6,seed=-1", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: --synthetic seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
+# `error` is the generator's own message; the CLI reports it with the keyword
+# replaced by --synthetic and the spec key
 @pytest.mark.parametrize("spec, error", [
     ("sigma=nan", "noise_sigma must be finite and >= 0, got nan"),
     ("sigma=inf", "noise_sigma must be finite and >= 0, got inf"),
@@ -698,10 +700,53 @@ def test_synth_names_a_negative_spec_seed(tmp_path, capsys):
 def test_synth_run_and_grid_reject_a_non_finite_noise_scale(tmp_path, capsys, monkeypatch,
                                                            command, spec, error):
     monkeypatch.setattr(cli_module, "fit", lambda *a: pytest.fail("a fit ran"))
-    argv = [*command, "--synthetic", f"n=40,k=3,dims=10/14,{spec}", "--out", str(tmp_path / "out")]
+    spec = f"n=40,k=3,dims=10/14,{spec}"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        generate_synthetic(**_parse_synthetic_spec(spec))
+    key = spec.rsplit(",", 1)[1].split("=")[0]
+    keyword = cli_module.SYNTHETIC_SPEC_KEYS[key][0]
+    argv = [*command, "--synthetic", spec, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error.replace(keyword, f'--synthetic {key}')}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, error", [
+    ("n=30,k=3,dims=4/5,sigma=-1", "--synthetic sigma must be finite and >= 0, got -1.0"),
+    ("n=30,k=3,dims=4/5,nuisance-dim=9", "--synthetic nuisance-dim 9 exceeds view dim 4"),
+    ("n=30,k=1,dims=4/5", "need --synthetic k >= 2, got 1"),
+    ("n=10,k=3,dims=4/5", "need --synthetic n >= 5k = 15, got 10"),
+    ("n=30,k=3,dims=4/5,sigma=1e308", "--synthetic sigma=1e+308 overflows view 0"),
+], ids=["sigma", "nuisance-dim", "k", "n", "sigma-overflow"])
+@pytest.mark.parametrize("command", [["synth"], ["run", "--lambda", "1", "--dims", "3"]],
+                         ids=["synth", "run"])
+def test_a_spec_value_the_generator_rejects_names_its_key(tmp_path, capsys, monkeypatch,
+                                                          command, spec, error):
+    monkeypatch.setattr(cli_module, "fit", lambda *a: pytest.fail("a fit ran"))
+    argv = [*command, "--synthetic", spec, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", "6,3", "--repeats", "2",
+      "--max-iter", "2", "--restarts", "1", "--pretrain-iters", "2"], 3),
+    (["synth", "--synthetic", SMALL_SPEC], 1),
+], ids=["run", "synth"])
+def test_a_synthetic_dataset_is_validated_once_per_reader(tmp_path, monkeypatch, argv, calls):
+    # run: normalize_dataset and each repeat's fit; synth: save_dataset; never the generator
+    seen = []
+    validate = MultiViewDataset.validate
+
+    def spy(self):
+        seen.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(MultiViewDataset, "validate", spy)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("option, error", [

@@ -1,4 +1,5 @@
-"""Every name a mvfuse module imports is used: read there, exported, or marked."""
+"""Every name a mvfuse module imports is used: read there, exported, or marked;
+and every parameter of its functions and lambdas is read in their bodies."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,48 @@ def test_an_unused_import_is_reported(tmp_path):
         "print(sep)\n"
     )
     assert _unused_imports(module) == ["module.py:2 json"]
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """Parameters of a function or lambda in `path` that its body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set()
+        for sub in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                read.add(sub.target.id)  # x += 1 reads x
+        name = getattr(node, "name", "lambda")
+        unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path) == []
+
+
+def test_an_unread_parameter_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def lloyd(points, sq_points, twice, centers, *args, **kwargs):\n"
+        "    total = sq_points\n"
+        "    total += args[0]\n"
+        "    def inner(c):\n"
+        "        return points @ c\n"
+        "    return inner(centers), total, kwargs\n"
+        "def count(n, step):\n"
+        "    n += 1\n"
+        "    return n\n"
+        "scale = lambda x, factor: 2.0 * x\n"
+    )
+    assert _unread_parameters(module) == [
+        "module.py:1 lloyd(twice)", "module.py:7 count(step)", "module.py:10 lambda(factor)",
+    ]

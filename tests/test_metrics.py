@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_lloyd_matches_the_reference_from_far_off_starts():
             except RuntimeWarning:
                 continue
         sq_points = np.sum(points**2, axis=1)
-        got = [out[0] for out in _lloyd(points, sq_points, 2.0 * points, centers[None])]
+        got = [out[0] for out in _lloyd(points, sq_points, centers[None])]
         assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
         compared += 1
         reseeded += len(np.unique(_reference_sqdist(points, centers).argmin(axis=1))) < k
@@ -249,7 +250,7 @@ def test_lloyd_stack_matches_the_reference_per_start():
         if not starts:
             continue
         sq_points = np.sum(points**2, axis=1)
-        labels, inertia = _lloyd(points, sq_points, 2.0 * points, np.stack(starts))
+        labels, inertia = _lloyd(points, sq_points, np.stack(starts))
         for r, (want_labels, want_inertia) in enumerate(expected):
             assert np.array_equal(labels[r], want_labels) and inertia[r] == want_inertia
         mixed += any(emptied) and not all(emptied)
@@ -274,12 +275,12 @@ def test_kmeans_returns_the_best_of_its_single_restarts(n, d, k_share, restarts,
         points = np.round(points) / 2.0
     points = np.asfortranarray(points) if fortran else np.ascontiguousarray(points)
     k = 1 + round(k_share * (n - 1))
-    sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
+    sq_points = np.sum(points**2, axis=1)
     singles, inertias = [], []
     for r in range(restarts):
         single = kmeans(points, k, restarts=1, seed=seed + r)
-        start = _plusplus_centers(points, k, [np.random.default_rng(seed + r)], sq_points, twice)
-        labels, inertia = _lloyd(points, sq_points, twice, start)
+        start = _plusplus_centers(points, k, [np.random.default_rng(seed + r)], sq_points)
+        labels, inertia = _lloyd(points, sq_points, start)
         assert np.array_equal(single, labels[0])
         singles.append(single)
         inertias.append(inertia[0])
@@ -324,8 +325,8 @@ def _seed_both(points, k, seed):
     for seeding in (_plusplus_centers, _reference_plusplus_centers):
         try:
             if seeding is _plusplus_centers:
-                terms = np.sum(points**2, axis=1), 2.0 * points
-                seeded.append(seeding(points, k, [np.random.default_rng(seed)], *terms)[0])
+                sq_points = np.sum(points**2, axis=1)
+                seeded.append(seeding(points, k, [np.random.default_rng(seed)], sq_points)[0])
             else:
                 seeded.append(seeding(points, k, np.random.default_rng(seed)))
         except ValueError:  # a non-finite D^2 total; the reference fails in Generator.choice
@@ -340,7 +341,7 @@ def _assert_seeding_matches_the_reference(points, k, seed):
     else:
         assert np.array_equal(got, expected)
         i = int(np.random.default_rng(seed).integers(points.shape[0]))
-        d2 = _sqdist_to_points(points, np.sum(points**2, axis=1), 2.0 * points, np.array([i]))[0]
+        d2 = _sqdist_to_points(points, np.sum(points**2, axis=1), np.array([i]))[0]
         assert np.array_equal(d2 == 0, np.sum((points - points[i]) ** 2, axis=1) == 0)
 
 
@@ -426,16 +427,16 @@ def test_stacked_seeding_rows_match_the_reference_per_generator(n, d, distinct, 
     points = spread * base + offset
     points = np.asfortranarray(points) if fortran else np.ascontiguousarray(points)
     k = 1 + round(k_share * (n - 1))
-    terms = np.sum(points**2, axis=1), 2.0 * points
+    sq_points = np.sum(points**2, axis=1)
     rngs = [np.random.default_rng(seed + r) for r in range(restarts)]
     try:
         expected = [_reference_plusplus_centers(points, k, np.random.default_rng(seed + r))
                     for r in range(restarts)]
     except ValueError:  # a non-finite D^2 total in one restart raises for the stack
         with pytest.raises(ValueError, match="squared distances between points overflow"):
-            _plusplus_centers(points, k, rngs, *terms)
+            _plusplus_centers(points, k, rngs, sq_points)
         return
-    got = _plusplus_centers(points, k, rngs, *terms)
+    got = _plusplus_centers(points, k, rngs, sq_points)
     assert got.shape == (restarts, k, d)
     for row, want in zip(got, expected):
         assert np.array_equal(row, want)
@@ -454,7 +455,7 @@ def test_the_example_stack_mixes_zero_and_positive_totals(monkeypatch):
     monkeypatch.setattr(metrics, "_draw", spy)
     points = np.array([[0.0], [1e-162], [2e-162]])
     _plusplus_centers(points, 3, [np.random.default_rng(s) for s in range(8)],
-                      np.sum(points**2, axis=1), 2.0 * points)
+                      np.sum(points**2, axis=1))
     assert {True, False} in positive
 
 
@@ -507,7 +508,7 @@ def test_stacked_distances_equal_the_one_center_form_bit_for_bit():
         for points in (np.asfortranarray(base), np.ascontiguousarray(base)):
             sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
             idx = rng.integers(n, size=int(rng.integers(1, 9)))
-            got = _sqdist_to_points(points, sq_points, twice, idx)
+            got = _sqdist_to_points(points, sq_points, idx)
             for row, i in zip(got, idx):
                 assert row.tobytes() == _one_center_sqdist(points, sq_points, twice, i).tobytes()
 
@@ -526,13 +527,27 @@ def test_lloyd_matches_the_reference_on_a_fit_large_view():
     # three k-means++ starts
     ds = generate_synthetic(n=3000, k=5, view_dims=[100, 200, 300], noise_sigma=0.1, seed=0)
     points = normalize_dataset(ds, "l2-sample").views[2].T  # F-ordered, d = 300
-    sq_points, twice = np.sum(points**2, axis=1), 2.0 * points
+    sq_points = np.sum(points**2, axis=1)
     rngs = [np.random.default_rng(seed) for seed in range(3)]
-    starts = _plusplus_centers(points, 20, rngs, sq_points, twice)
-    labels, inertia = _lloyd(points, sq_points, twice, starts)
+    starts = _plusplus_centers(points, 20, rngs, sq_points)
+    labels, inertia = _lloyd(points, sq_points, starts)
     for r, start in enumerate(starts):
         want_labels, want_inertia = _reference_lloyd(points, start)
         assert np.array_equal(labels[r], want_labels) and inertia[r] == want_inertia
+
+
+def test_kmeans_holds_one_working_copy_of_f_ordered_points():
+    # the products double the k centers, so no doubled n x d copy of the points
+    # exists; the one copy is the C-ordered rows that the center sums read
+    n, d = 2000, 200
+    points = np.asfortranarray(np.random.default_rng(71).standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        kmeans(points, 2, restarts=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * d * points.itemsize
 
 
 # (m, k, n, d): m k = 255 and 257 at d of 2, 3 and 300, then 65,535 and 65,537,

@@ -1,6 +1,11 @@
 import copy
+import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -606,3 +611,43 @@ def test_pretraining_is_shared_only_inside_the_block_and_on_its_thread(monkeypat
     init_state(ds, hp)
     assert len(calls) == 5 * ds.num_views
     assert calls[3 * ds.num_views] != calls[0]  # the worker pretrained for itself
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread counts
+
+# Relative objective gap allowed between fits at OPENBLAS_NUM_THREADS 1 and 2
+# (README). The largest gap measured was 3.5e-12 (n = 500 and 1000, fit-large's
+# views and scheme, 10 iterations; 5.4e-13 for this test's fit over seeds 0-7),
+# so the bound leaves a margin of about 30.
+BLAS_THREADS_OBJECTIVE_GAP = 1e-10
+
+_THREADED_FIT = """
+import json
+from mvfuse.data import generate_synthetic, normalize_dataset
+from mvfuse.pipeline import HyperParams, fit
+ds = generate_synthetic(n=300, k=5, view_dims=[100, 200, 300], noise_sigma=0.1, seed=0)
+res = fit(normalize_dataset(ds, "l2-sample"), HyperParams(lam=1.0, dims=[20, 5], max_iter=10))
+print(json.dumps({"labels": res.labels.tolist(), "objectives": [r.objective for r in res.history]}))
+"""
+
+
+def test_fits_at_one_and_two_blas_threads_agree_within_the_stated_bound():
+    # n = 300 is the smallest size found whose consensus bits differ between the
+    # two counts (OpenBLAS 0.3.31, 2 cores); ten iterations let the drift grow.
+    # Each count is set only in its own child's environment.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _THREADED_FIT], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                 "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        for threads in (1, 2)
+    ]
+    one, two = [json.loads(child.communicate(timeout=120)[0]) for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert one["labels"] == two["labels"]
+    assert len(one["objectives"]) == len(two["objectives"]) == 10
+    gaps = [abs(a - b) / abs(a) for a, b in zip(one["objectives"], two["objectives"])]
+    assert max(gaps) <= BLAS_THREADS_OBJECTIVE_GAP
