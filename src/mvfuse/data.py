@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from mvfuse.linalg import as_matrix
 from mvfuse.metrics import as_labels
 
 MAGIC = b"MVMATRIX"
@@ -35,6 +34,20 @@ MAGIC = b"MVMATRIX"
 # The scheme a manifest without a normalization tag, synth and --synthetic data get.
 DEFAULT_NORMALIZATION = "l2-sample"
 NORMALIZATION_SCHEMES = (DEFAULT_NORMALIZATION, "minmax-feature")
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-d float64 array or raise ValueError.
+
+    The check of every matrix that enters the program: a dataset's views,
+    a binary matrix file, and the arrays the writers and normalize take.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"{name} must be 2-d with positive shape, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
 
 
 @dataclass(eq=False)  # compared and hashed by identity, so a dataset can key a memo
@@ -220,7 +233,7 @@ def read_matrix(path) -> np.ndarray:
     for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
         if line.strip():
             raise ValueError(f"{path}, line {lineno}: unexpected content after {rows} rows")
-    return as_matrix(values, str(path))
+    return values  # every row was checked above, its line named
 
 
 def write_labels(path, labels) -> None:

@@ -6,8 +6,8 @@ quality, beta weights alignment quality. Each step is its block's exact
 optimum; alpha's holds even when every view reconstructs exactly, and
 beta's even when no view aligns positively. Every step is a function of
 plain arrays that the fit built from inputs pipeline.init_state checked, and
-only update_alpha checks what it reads; pipeline.fit holds h, w, alpha and
-beta between steps.
+none checks them again; pipeline.fit holds h, w, alpha and beta between
+steps, and its _record check catches a non-finite weight or objective.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ def update_alpha(losses) -> np.ndarray:
     The minimizer weights each view by the inverse of its loss. Views with
     exactly zero loss take all the weight, split equally among themselves;
     when every loss is zero that is the uniform alpha, one of the minimizers.
+    The losses are a sweep's, finite and >= 0. A non-finite one makes the
+    objective NaN (an infinite loss gets weight 0, a NaN one counts as
+    exact), so pipeline._record raises.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1 or losses.size == 0:
-        raise ValueError("losses must be a non-empty 1-d array")
-    if np.any(losses < 0) or not np.all(np.isfinite(losses)):
-        raise ValueError("losses must be finite and >= 0")
     inv = np.zeros_like(losses)
     positive = losses > 0
     with np.errstate(divide="ignore", over="ignore"):

