@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +50,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(eq=False)  # compared and hashed by identity, so a dataset can key a memo
+# Compared and hashed by identity, so a dataset can key a memo. Checked once,
+# when built: it keeps read-only views of the checked arrays, not copies, and
+# its fields cannot be reassigned, so every reader can trust it as built.
+@dataclass(eq=False, frozen=True)
 class MultiViewDataset:
-    views: list               # d_v x n float64 matrices, shared sample axis
+    views: tuple              # d_v x n float64 matrices, shared sample axis
     truth: np.ndarray | None  # n ground-truth labels in [0, k), or None
     k: int
     name: str = "dataset"
@@ -66,14 +69,15 @@ class MultiViewDataset:
     def num_views(self) -> int:
         return len(self.views)
 
-    def validate(self) -> "MultiViewDataset":
+    def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"dataset {self.name!r}: need k >= 2, got {self.k}")
         if not self.views:
             raise ValueError(f"dataset {self.name!r}: no views")
         n = self.views[0].shape[1]
+        views = []
         for i, x in enumerate(self.views):
-            x = as_matrix(x, f"view {i}")
+            x = as_matrix(x, f"view {i}").view()  # the caller's array stays writable
             if x.shape[1] != n:
                 raise ValueError(
                     f"dataset {self.name!r}: view {i} has {x.shape[1]} samples, expected {n}"
@@ -81,12 +85,14 @@ class MultiViewDataset:
             if not x.any():
                 # its partition would collapse to zero during fine-tuning
                 raise ValueError(f"dataset {self.name!r}: view {i} is all zeros")
-            self.views[i] = x
-        if all((x == x[:, :1]).all() for x in self.views):
+            x.flags.writeable = False
+            views.append(x)
+        if all((x == x[:, :1]).all() for x in views):
             raise ValueError(
                 f"dataset {self.name!r}: all {n} samples are identical in every view, "
                 "so no clustering can tell them apart"
             )
+        object.__setattr__(self, "views", tuple(views))
         if self.truth is not None:
             truth = as_labels(self.truth, f"dataset {self.name!r}: truth labels")
             if truth.shape != (n,):
@@ -97,8 +103,8 @@ class MultiViewDataset:
                 raise ValueError(
                     f"dataset {self.name!r}: truth labels must lie in [0, {self.k})"
                 )
-            self.truth = truth
-        return self
+            truth.flags.writeable = False  # as_labels made it, so it is not the caller's
+            object.__setattr__(self, "truth", truth)
 
 
 def _json_int(value) -> int | None:
@@ -304,13 +310,7 @@ def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION)
         if not x.any() and np.any(raw):
             raise ValueError(f"dataset {ds.name!r}: view {i} is all zeros after {scheme} "
                              "normalization, though the raw view is not")
-    return MultiViewDataset(
-        views=views,
-        truth=ds.truth,
-        k=ds.k,
-        name=ds.name,
-        normalization=scheme,
-    ).validate()
+    return replace(ds, views=views, normalization=scheme)
 
 
 @contextmanager
@@ -367,7 +367,6 @@ def save_dataset(
         raise ValueError(f"fmt must be one of {tuple(MATRIX_FORMATS)}, got {fmt!r}")
     if normalization not in NORMALIZATION_SCHEMES:
         raise ValueError(f"unknown normalization scheme {normalization!r}")
-    ds.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix, write = MATRIX_FORMATS[fmt]
@@ -422,8 +421,7 @@ def generate_synthetic(
     receives a private rank-nuisance_dim component of scale nuisance_scale --
     structure that is real but carries no cluster signal, and differs per view.
     An error labels an argument by names[keyword], else by its keyword; names
-    changes no output. The dataset is not validated here: every caller that
-    reads it (normalize_dataset, save_dataset, a fit) validates it.
+    changes no output. Like every dataset, the result checks itself when built.
     """
     names = names or {}
 

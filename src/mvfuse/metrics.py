@@ -279,13 +279,20 @@ def _check_labels(pred, truth):
 
 
 def contingency(pred, truth, square: bool = False) -> np.ndarray:
-    """Count table with one row per predicted label, one column per true label."""
+    """Count table with one row per distinct predicted label, one column per
+    distinct true label, each side in ascending label order.
+
+    Labels are indexed by their rank, so the table's size follows the number
+    of distinct labels, not the largest one, and no row or column is empty.
+    With square=True the smaller side is padded with zeros to a square.
+    """
     pred, truth = _check_labels(pred, truth)
-    kp, kt = int(pred.max()) + 1, int(truth.max()) + 1
+    rows, cols = (np.unique(labels, return_inverse=True)[1] for labels in (pred, truth))
+    kp, kt = int(rows.max()) + 1, int(cols.max()) + 1
     if square:
         kp = kt = max(kp, kt)
     table = np.zeros((kp, kt), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
+    np.add.at(table, (rows, cols), 1)
     return table
 
 
@@ -309,7 +316,6 @@ def nmi(pred, truth) -> float:
     either side has zero entropy but the partitions differ.
     """
     table = contingency(pred, truth).astype(np.float64)
-    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if np.all(np.count_nonzero(table, axis=1) == 1) and np.all(
         np.count_nonzero(table, axis=0) == 1
     ):

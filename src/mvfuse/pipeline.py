@@ -140,9 +140,9 @@ def shared_pretraining():
     Inside the block, fits that share the dataset object, the layer dims, the
     seed and pretrain_iters -- all init_state reads, so any lam -- start from
     one pretraining. The memo keys the gauge-fixed partitions by the dataset
-    object itself (datasets compare and hash by identity) and holds it for
-    the block. Results are identical to fits outside a block. The dataset
-    must not change while the block is open. Blocks do not nest.
+    object itself (datasets compare and hash by identity, and cannot change
+    once built) and holds it for the block. Results are identical to fits
+    outside a block. Blocks do not nest.
     """
     _shared.memo = {}
     try:
@@ -154,10 +154,11 @@ def shared_pretraining():
 def init_state(dataset: MultiViewDataset, hp: HyperParams) -> list:
     """Pretrain every view: the list of each view's gauge-fixed partition h_m.
 
-    This is the one place a fit's inputs are checked: hp, the dataset and the
-    layer widths against every view and the sample count. No step after it
-    checks them again. This is pretraining alone; fit starts fusion from
-    neutral weights.
+    This is the one place a fit's inputs are checked: hp, and the layer
+    widths against every view and the sample count. The dataset checked
+    itself when it was built, so its views are not scanned again here. No
+    step after this checks them again. This is pretraining alone; fit starts
+    fusion from neutral weights.
     Pretraining is greedy and layer-wise, so it never sees the alignment
     term: hp.lam is never read here. Inside a shared_pretraining() block the
     partitions are memoised per (dataset, dims, seed, pretrain_iters), with
@@ -166,7 +167,6 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams) -> list:
     so calls share them; every call returns a new list.
     """
     hp.validate()
-    dataset.validate()
     dims = validate_layer_dims(
         hp.dims, dataset.k, [x.shape[0] for x in dataset.views], dataset.n
     )

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -450,8 +451,7 @@ def test_run_names_an_all_zero_view(tmp_path, capsys):
 
 def _duplicated_view_dataset():
     ds = generate_synthetic(n=40, k=3, view_dims=[10, 14], noise_sigma=0.05, seed=7)
-    ds.views.append(ds.views[0].copy())
-    return ds
+    return replace(ds, views=(*ds.views, ds.views[0].copy()))
 
 
 def _k_equals_n_dataset():
@@ -730,23 +730,30 @@ def test_a_spec_value_the_generator_rejects_names_its_key(tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, calls", [
-    (["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", "6,3", "--repeats", "2",
-      "--max-iter", "2", "--restarts", "1", "--pretrain-iters", "2"], 3),
+def _run_synthetic(repeats):
+    return ["run", "--synthetic", SMALL_SPEC, "--lambda", "1", "--dims", "6,3",
+            "--repeats", str(repeats), "--max-iter", "2", "--restarts", "1",
+            "--pretrain-iters", "2"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (_run_synthetic(1), 2),
+    (_run_synthetic(3), 2),
     (["synth", "--synthetic", SMALL_SPEC], 1),
-], ids=["run", "synth"])
-def test_a_synthetic_dataset_is_validated_once_per_reader(tmp_path, monkeypatch, argv, calls):
-    # run: normalize_dataset and each repeat's fit; synth: save_dataset; never the generator
+], ids=["run-repeats1", "run-repeats3", "synth"])
+def test_each_dataset_is_checked_once_when_built(tmp_path, monkeypatch, argv, built):
+    # run: the generated dataset and its normalized copy, however many repeats
+    # fit them; synth: the generated one, which save_dataset writes unchecked
     seen = []
-    validate = MultiViewDataset.validate
+    check = MultiViewDataset.__post_init__
 
     def spy(self):
         seen.append(self)
-        return validate(self)
+        check(self)
 
-    monkeypatch.setattr(MultiViewDataset, "validate", spy)
+    monkeypatch.setattr(MultiViewDataset, "__post_init__", spy)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    assert len(seen) == calls
+    assert len(seen) == built
 
 
 @pytest.mark.parametrize("option, error", [

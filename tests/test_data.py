@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -363,29 +364,48 @@ def test_save_dataset_rejects_bad_options(tmp_path):
 def test_dataset_validation_errors():
     good = generate_synthetic(n=30, k=3, view_dims=[4, 5], seed=43)
     with pytest.raises(ValueError, match="k >= 2"):
-        MultiViewDataset(views=good.views, truth=good.truth, k=1).validate()
+        MultiViewDataset(views=good.views, truth=good.truth, k=1)
     with pytest.raises(ValueError, match="no views"):
-        MultiViewDataset(views=[], truth=None, k=3).validate()
+        MultiViewDataset(views=[], truth=None, k=3)
     ragged = [good.views[0], good.views[1][:, :-1]]
     with pytest.raises(ValueError, match="view 1 has 29 samples"):
-        MultiViewDataset(views=ragged, truth=None, k=3).validate()
+        MultiViewDataset(views=ragged, truth=None, k=3)
     with pytest.raises(ValueError, match="view 1 is all zeros"):
-        MultiViewDataset(views=[good.views[0], 0.0 * good.views[1]], truth=None, k=3).validate()
+        MultiViewDataset(views=[good.views[0], 0.0 * good.views[1]], truth=None, k=3)
     same = [np.repeat(x[:, :1], 30, axis=1) for x in good.views]
     with pytest.raises(ValueError, match="all 30 samples are identical in every view"):
-        MultiViewDataset(views=same, truth=None, k=3).validate()
-    MultiViewDataset(views=[same[0], good.views[1]], truth=None, k=3).validate()  # view 1 differs
+        MultiViewDataset(views=same, truth=None, k=3)
+    MultiViewDataset(views=[same[0], good.views[1]], truth=None, k=3)  # view 1 differs
     with pytest.raises(ValueError, match="truth has shape"):
-        MultiViewDataset(views=good.views, truth=good.truth[:-1], k=3).validate()
+        MultiViewDataset(views=good.views, truth=good.truth[:-1], k=3)
     bad_range = good.truth.copy()
     bad_range[0] = 3
     with pytest.raises(ValueError, match=r"truth labels must lie in \[0, 3\)"):
-        MultiViewDataset(views=good.views, truth=bad_range, k=3).validate()
+        MultiViewDataset(views=good.views, truth=bad_range, k=3)
     fractional = good.truth + 0.7  # 0.7, 1.7, 2.7 must not truncate to 0, 1, 2
     with pytest.raises(ValueError, match="^dataset 'x': truth labels must be whole numbers, got "):
-        MultiViewDataset(views=good.views, truth=fractional, k=3, name="x").validate()
-    whole = MultiViewDataset(views=good.views, truth=good.truth.astype(float), k=3).validate()
+        MultiViewDataset(views=good.views, truth=fractional, k=3, name="x")
+    whole = MultiViewDataset(views=good.views, truth=good.truth.astype(float), k=3)
     assert whole.truth.dtype == np.int64 and np.array_equal(whole.truth, good.truth)
+
+
+def test_a_dataset_cannot_change_once_built():
+    good = generate_synthetic(n=30, k=3, view_dims=[4, 5], seed=43)
+    x, truth = good.views[0].copy(), good.truth.copy()
+    ds = MultiViewDataset(views=[x, good.views[1]], truth=truth, k=3)
+    assert isinstance(ds.views, tuple)
+    for name, value in (("views", ()), ("truth", None), ("k", 4)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ds, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.views[0][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.truth[0] = 1
+    # the caller's arrays stay writable, and the views share memory with them
+    x[0, 0] = 2.0
+    truth[0] = 2
+    assert ds.views[0][0, 0] == 2.0 and np.shares_memory(ds.views[0], x)
+    assert ds.truth.dtype == np.int64 and ds.truth.flags.writeable is False
 
 
 # ---------------------------------------------------------------------------

@@ -776,3 +776,14 @@ def test_metrics_invariant_under_prediction_relabeling():
 def test_contingency_counts():
     table = contingency([0, 0, 1], [1, 1, 0])
     assert np.array_equal(table, [[0, 2], [1, 0]])
+
+
+def test_contingency_indexes_labels_by_rank():
+    # a gap in the label ids adds no row or column, so 4 samples cost bytes, not megabytes
+    assert np.array_equal(contingency([0, 3000, 0, 3000], [3000, 3000, 0, 0]), [[1, 1], [1, 1]])
+    tracemalloc.start()
+    try:
+        assert accuracy([0, 3000, 0, 3000], [3000, 3000, 0, 0]) == 0.5
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvfuse.data as data_module
 import mvfuse.deep as deep_module
 import mvfuse.fusion as fusion_module
 import mvfuse.pipeline as pipeline_module
@@ -144,18 +145,6 @@ def test_every_kmeans_call_of_a_fit_takes_its_seed_from_the_layout(monkeypatch):
     assert calls == expect + [("final", seed)]
 
 
-def _nan_entry():
-    ds = _small_dataset()
-    ds.views[0][0, 0] = np.nan
-    return ds
-
-
-def _short_view():
-    ds = _small_dataset()
-    ds.views[1] = ds.views[1][:, 1:]
-    return ds
-
-
 @pytest.mark.parametrize("make_dataset, overrides, match", [
     (_small_dataset, dict(dims=[6, 4]), "last layer width"),
     (_small_dataset, dict(dims=[3, 3]), "strictly decreasing"),
@@ -163,10 +152,8 @@ def _short_view():
     (lambda: _small_dataset(n=15, view_dims=[20, 24]), dict(dims=[16, 3]), "sample count"),
     (_small_dataset, dict(lam=-1.0), "lam"),
     (_small_dataset, dict(pretrain_iters=-1), "pretrain_iters"),
-    (_nan_entry, {}, "non-finite"),
-    (_short_view, {}, "has 39 samples, expected 40"),
 ], ids=["last-width", "not-decreasing", "wider-than-view", "wider-than-n", "negative-lam",
-        "negative-pretrain-iters", "non-finite-entry", "sample-count-mismatch"])
+        "negative-pretrain-iters"])
 def test_fit_checks_every_input_before_pretraining(monkeypatch, make_dataset, overrides, match):
     # init_state is the one home of a fit's input checks: nothing is pretrained first
     def never(*args):
@@ -175,6 +162,36 @@ def test_fit_checks_every_input_before_pretraining(monkeypatch, make_dataset, ov
     monkeypatch.setattr(pipeline_module, "pretrain_view", never)
     with pytest.raises(ValueError, match=match):
         fit(make_dataset(), HyperParams(**{"lam": 1.0, "dims": [6, 3], **overrides}))
+
+
+def _nan_entry(ds):
+    x = ds.views[0].copy()
+    x[0, 0] = np.nan
+    return replace(ds, views=(x, ds.views[1]))
+
+
+def _short_view(ds):
+    return replace(ds, views=(ds.views[0], ds.views[1][:, 1:]))
+
+
+@pytest.mark.parametrize("change, match", [
+    (_nan_entry, "non-finite"),
+    (_short_view, "has 39 samples, expected 40"),
+], ids=["non-finite-entry", "sample-count-mismatch"])
+def test_a_changed_dataset_is_checked_when_built(change, match):
+    # a dataset cannot change once built, so a changed one is a new dataset,
+    # checked as it is built; a fit then reads it without scanning it again
+    with pytest.raises(ValueError, match=match):
+        change(_small_dataset())
+
+
+def test_a_fit_scans_no_view(monkeypatch):
+    ds = _small_dataset()
+    calls = []
+    as_matrix = data_module.as_matrix
+    monkeypatch.setattr(data_module, "as_matrix", lambda *a: calls.append(a) or as_matrix(*a))
+    fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=2))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +210,16 @@ def test_fit_single_iteration_contract():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_with_an_all_zero_view_names_the_collapse():
-    # a zero view's partition would collapse during fine-tuning; validation
-    # rejects it up front and names the view
+    # a zero view's partition would collapse during fine-tuning; the dataset
+    # rejects it when built, before any fit, and names the view
     ds = _small_dataset()
-    ds.views[0] = np.zeros_like(ds.views[0])
     with pytest.raises(ValueError, match=r"view 0 is all zeros"):
-        fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
+        fit(replace(ds, views=(np.zeros_like(ds.views[0]), ds.views[1])),
+            HyperParams(lam=1.0, dims=[6, 3], max_iter=5))
 
 
 def test_fit_without_truth_reports_no_scores():
-    ds = _small_dataset()
-    ds.truth = None
+    ds = replace(_small_dataset(), truth=None)
     res = fit(ds, HyperParams(lam=1.0, dims=[6, 3], max_iter=2))
     assert res.scores is None
 
@@ -427,14 +443,13 @@ def _tiny_dataset(n, k, seed=3):
 
 def _duplicated_view():
     ds = _small_dataset()
-    ds.views.append(ds.views[0].copy())
-    return ds
+    return replace(ds, views=(*ds.views, ds.views[0].copy()))
 
 
 def _constant_view():
     ds = _small_dataset()
-    ds.views[0] = np.ones_like(ds.views[0])
-    return normalize_dataset(ds, "l2-sample")
+    return normalize_dataset(replace(ds, views=(np.ones_like(ds.views[0]), ds.views[1])),
+                             "l2-sample")
 
 
 # Inputs at the edges of the basis refits, with the final objective of a fit

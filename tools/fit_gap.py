@@ -1,7 +1,7 @@
 """Compare the outputs of two checkouts: bit-identical, or equal up to rounding.
 
 Run `python3 tools/fit_gap.py OLD NEW` with two checkout directories. Each
-checkout's mvfuse runs in its own subprocess and produces 32 outputs:
+checkout's mvfuse runs in its own subprocess and produces 33 outputs:
 
 - eight fits (`FITS`; the seventh skips pretraining's multiplicative steps,
   and the eighth's near-noiseless views drive the sweep's loss expansion
@@ -10,7 +10,8 @@ checkout's mvfuse runs in its own subprocess and produces 32 outputs:
   A fit's digest covers its consensus h, labels and objective trace, its
   per-iteration per-view losses, alpha and beta, and its per-iteration
   constraint residuals, smallest partition entry and degenerate-step flags;
-- `eval`'s stdout for the first fit's labels against its ground truth;
+- `eval`'s stdout for the first fit's labels against its ground truth, and
+  for those labels times 1000, whose ids leave gaps;
 - `run` on the benchmark dataset saved as text: its stdout (output directory
   masked), `results.tsv`, `objective_trace.txt` and `embedding.mvm`;
 - `grid.tsv` of `GRID_ARGS` at `--seed` 0 and 1 with `--threads 2`, and at
@@ -136,11 +137,12 @@ def worker(checkout: str) -> None:
                                       pretrain_iters=pretrain_iters))
             keep_fit(name, res)
             if name == EVAL_FIT:
-                write_labels(tmp / "pred.txt", res.labels)
                 write_labels(tmp / "truth.txt", ds.truth)
-                stdout = cli_stdout(["eval", "--pred", str(tmp / "pred.txt"),
-                                     "--truth", str(tmp / "truth.txt")])
-                keep_file(f"{name} eval", stdout.encode())
+                for suffix, labels in (("", res.labels), (" gapped", 1000 * res.labels)):
+                    write_labels(tmp / "pred.txt", labels)
+                    stdout = cli_stdout(["eval", "--pred", str(tmp / "pred.txt"),
+                                         "--truth", str(tmp / "truth.txt")])
+                    keep_file(f"{name} eval{suffix}", stdout.encode())
 
         manifest = save_dataset(generate_synthetic(**BENCHMARK), tmp / "benchmark", fmt="text")
         out = tmp / "run"
