@@ -192,13 +192,13 @@ def _mean_std(values):
     return float(np.mean(values)), float(np.std(values))
 
 
-def _summary(results):
-    """Best repeat index, then the mean and the std of every _values column.
+def _summary(values):
+    """Best repeat index, then the mean and the std of every column of values.
 
-    The best repeat has the highest accuracy when scored, the lowest objective otherwise.
+    values holds one _values row per repeat. The best repeat has the highest
+    accuracy when scored, the lowest objective otherwise.
     """
-    values = [_values(res) for res in results]
-    if results[0].scores is not None:
+    if values[0][1] is not None:
         best = int(np.argmax([v[1] for v in values]))
     else:
         best = int(np.argmin([v[0] for v in values]))
@@ -210,7 +210,8 @@ RESULT_COLUMNS = "repeat seed lambda dims norm iterations objective".split() + l
 
 
 def _results_table(results, repeats, norm):
-    best, mean, std = _summary(results)
+    values = [_values(res) for res in results]
+    best, mean, std = _summary(values)
     config = [_fmt(repeats[0].lam), ",".join(str(d) for d in repeats[0].dims), norm]
     rows = ["\t".join(RESULT_COLUMNS)]
 
@@ -218,8 +219,8 @@ def _results_table(results, repeats, norm):
         rows.append("\t".join([tag, seed_text, *config, iters] + [_fmt(v) for v in values]))
 
     for i, res in enumerate(results):
-        row(str(i), str(repeats[i].seed), str(res.iterations_run), _values(res))
-    row("best", str(repeats[best].seed), str(results[best].iterations_run), _values(results[best]))
+        row(str(i), str(repeats[i].seed), str(res.iterations_run), values[i])
+    row("best", str(repeats[best].seed), str(results[best].iterations_run), values[best])
     row("mean", "-", "-", mean)
     row("std", "-", "-", std)
     return "\n".join(rows) + "\n", best
@@ -234,7 +235,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table, best = _results_table(results, repeats, dataset.normalization)
     (out / "results.tsv").write_text(table)
-    trace = "\n".join(_fmt(rec.objective) for rec in results[best].history) + "\n"
+    trace = "\n".join(_fmt(obj) for obj in results[best].objectives.tolist()) + "\n"
     (out / "objective_trace.txt").write_text(trace)
     if args.emit_embedding:
         write_matrix_binary(out / "embedding.mvm", results[best].h)
@@ -274,12 +275,14 @@ def cmd_grid(args) -> int:
 
     # One group per (layer scheme, repeat): pretraining never reads lambda,
     # so each group pretrains once and fine-tunes every lambda from that start.
+    # A group keeps each fit's _values row, all the table reads, and drops
+    # its FitResult, so memory does not grow with the number of fits.
     def run_group(group):
         fits = []
         with shared_pretraining():
             for hp in group:
                 try:
-                    fits.append(fit(dataset, hp))
+                    fits.append(_values(fit(dataset, hp)))
                 except (ValueError, NumericalError) as exc:
                     fits.append(exc)
         return fits
@@ -290,19 +293,19 @@ def cmd_grid(args) -> int:
     best_acc, best_line, failed = -1.0, None, 0
     for row in cells:
         per_repeat = [next(group_fits) for _ in range(args.repeats)]
-        for (hp, *_), results in zip(row, zip(*per_repeat)):
+        for (hp, *_), values in zip(row, zip(*per_repeat)):
             head = [str(len(rows) - 1), _fmt(hp.lam), ",".join(str(d) for d in hp.dims),
                     dataset.normalization, str(args.repeats)]
             # a failed cell reports its lowest-seed failure
-            failure = next((r for r in results if isinstance(r, Exception)), None)
+            failure = next((v for v in values if isinstance(v, Exception)), None)
             if failure is not None:
                 failed += 1
                 error = str(failure).replace("\t", " ").replace("\n", " ")
                 nans = ["nan"] * (len(GRID_COLUMNS) - len(head) - 2)
                 rows.append("\t".join(head + ["failed"] + nans + [error]))
                 continue
-            top, mean, std = _summary(results)
-            best_scores = _values(results[top])[1:]
+            top, mean, std = _summary(values)
+            best_scores = values[top][1:]
             spread = [stat for pair in zip(mean[1:], std[1:]) for stat in pair]
             rows.append("\t".join(
                 head + ["ok"] + [_fmt(v) for v in best_scores + spread + [mean[0]]] + [""]

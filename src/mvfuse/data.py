@@ -278,7 +278,11 @@ def normalize(x, scheme: str = DEFAULT_NORMALIZATION) -> np.ndarray:
     input: a column whose squared norm overflows or underflows is divided by
     its largest |entry| first, and a row whose range overflows is halved.
     """
-    x = as_matrix(x)
+    return _normalized(as_matrix(x), scheme)
+
+
+def _normalized(x: np.ndarray, scheme: str) -> np.ndarray:
+    """normalize's arithmetic on a matrix as_matrix already checked; x is only read."""
     if scheme == "l2-sample":
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(x, axis=0)
@@ -304,8 +308,12 @@ def normalize(x, scheme: str = DEFAULT_NORMALIZATION) -> np.ndarray:
 
 
 def normalize_dataset(ds: MultiViewDataset, scheme: str = DEFAULT_NORMALIZATION) -> MultiViewDataset:
-    """The dataset with every view normalized by `scheme`, which it records."""
-    views = [normalize(x, scheme) for x in ds.views]
+    """The dataset with every view normalized by `scheme`, which it records.
+
+    ds checked its views when it was built, so they are normalized without a
+    second scan; the normalized dataset checks its own views as it is built.
+    """
+    views = [_normalized(x, scheme) for x in ds.views]
     for i, (raw, x) in enumerate(zip(ds.views, views)):
         if not x.any() and np.any(raw):
             raise ValueError(f"dataset {ds.name!r}: view {i} is all zeros after {scheme} "

@@ -19,8 +19,9 @@ against ground truth, for fit and for every CLI report.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,11 +99,51 @@ class IterationRecord:
     rotation_degenerate: np.ndarray
 
 
+class History(Sequence):
+    """A fit's IterationRecords, stored as one read-only array per field.
+
+    A scalar field is a float64 (T,) column, a per-view field a (T, V) one,
+    and the two degenerate flags are bool columns, so a history costs what
+    its numbers cost. history[i] (negative i too) builds a new record with
+    Python float and bool scalars and copies of the per-view rows, equal to
+    the one stored; a slice is a list of such records, as a list's slice is.
+    """
+
+    def __init__(self, records=()):
+        self._columns = {}
+        for f in fields(IterationRecord):
+            column = np.array([getattr(rec, f.name) for rec in records])
+            column.flags.writeable = False
+            self._columns[f.name] = column
+
+    def __len__(self) -> int:
+        return len(self._columns["objective"])
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]  # a list's index rules: negatives, bounds, slices
+        if isinstance(rows, range):
+            return [self[row] for row in rows]
+        return IterationRecord(**{
+            name: column[rows].item() if column.ndim == 1 else column[rows].copy()
+            for name, column in self._columns.items()
+        })
+
+    def column(self, name: str) -> np.ndarray:
+        """The read-only array of one IterationRecord field, one row per iteration."""
+        return self._columns[name]
+
+
 @dataclass
 class FitResult:
+    """A fit's final consensus and labels, its history, and its scores.
+
+    history holds every iteration's record as a History, one array per
+    field; objectives is a new array of the objective column.
+    """
+
     h: np.ndarray                  # final k x n consensus
     labels: np.ndarray             # k-means clustering of the consensus columns
-    history: list = field(default_factory=list)
+    history: History = field(default_factory=History)
     scores: dict | None = None     # acc/nmi/pur when ground truth is known
 
     @property
@@ -111,7 +152,7 @@ class FitResult:
 
     @property
     def objectives(self) -> np.ndarray:
-        return np.array([rec.objective for rec in self.history])
+        return self.history.column("objective").copy()
 
 
 def check_convergence(prev: float, last: float, tol: float) -> bool:
@@ -262,4 +303,4 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
             break
     labels = kmeans(h.T, dataset.k, restarts=hp.kmeans_restarts, seed=kmeans_seed(hp.seed))
     scores = None if dataset.truth is None else score_labels(labels, dataset.truth)
-    return FitResult(h=h, labels=labels, history=history, scores=scores)
+    return FitResult(h=h, labels=labels, history=History(history), scores=scores)

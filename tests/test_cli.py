@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -606,6 +607,29 @@ def test_grid_best_cell_is_the_first_row_with_the_highest_accuracy(
         f"best cell {best['cell']}: lambda={best['lambda']} dims={best['dims']} "
         f"acc={best['best_acc']}\n"
     ) in capsys.readouterr().out
+
+
+def test_grid_keeps_no_fit_result_for_its_table(tmp_path, monkeypatch):
+    # grid's memory must not grow with its fits: each fit leaves only the
+    # numbers its cell's row reads
+    # a FitResult compares by value, so it is unhashable: weak references
+    # in a list, not a WeakSet
+    results, summaries = [], []
+    real_fit, real_summary = cli_module.fit, cli_module._summary
+
+    def tracked_fit(dataset, hp):
+        res = real_fit(dataset, hp)
+        results.append(weakref.ref(res))
+        return res
+
+    def checked_summary(values):
+        summaries.append(sum(ref() is not None for ref in results))
+        return real_summary(values)
+
+    monkeypatch.setattr(cli_module, "fit", tracked_fit)
+    monkeypatch.setattr(cli_module, "_summary", checked_summary)
+    assert main(FAILING_GRID + ["--out", str(tmp_path / "grid")]) == 0
+    assert summaries == [0] * 6
 
 
 def test_grid_records_failed_cells(tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+import mvfuse.data as data_module
 from mvfuse.data import (
     MAGIC,
     Manifest,
@@ -316,6 +317,25 @@ def test_save_load_round_trip_binary(tmp_path):
     # loading applies the manifest's normalization to the raw stored views
     for x, raw in zip(back.views, ds.views):
         assert np.allclose(x, normalize(raw, "l2-sample"))
+
+
+@pytest.mark.parametrize("fmt, loaded", [("text", 6), ("binary", 9)])
+def test_load_and_normalize_scan_each_view_once_per_dataset_built(
+    tmp_path, monkeypatch, fmt, loaded
+):
+    # the raw and the normalized dataset check their views as they are built,
+    # and the binary reader checks what it reads; normalizing a checked
+    # dataset does not scan its views again
+    ds = generate_synthetic(n=30, k=3, view_dims=[4, 5, 6], seed=41)
+    manifest_path = save_dataset(ds, tmp_path / "out", fmt=fmt)
+    calls = []
+    as_matrix = data_module.as_matrix
+    monkeypatch.setattr(data_module, "as_matrix", lambda *a: calls.append(a) or as_matrix(*a))
+    load_dataset(manifest_path)
+    assert len(calls) == loaded
+    calls.clear()
+    normalize_dataset(ds, "minmax-feature")
+    assert len(calls) == 3
 
 
 def test_load_respects_normalization_override(tmp_path):

@@ -4,7 +4,8 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from mvfuse.deep import expanded_loss, reconstruction_loss, update_basis
 from mvfuse.fusion import update_consensus
 from mvfuse.linalg import NumericalError
 from mvfuse.pipeline import (
+    History,
     HyperParams,
     check_convergence,
     fit,
@@ -257,6 +259,90 @@ def test_fit_history_stays_feasible(benchmark_fit):
     assert max(rec.alpha_residual for rec in hist) <= 1e-12
     assert max(rec.beta_residual for rec in hist) <= 1e-10
     assert min(rec.min_h_entry for rec in hist) >= 0.0
+
+
+def _assert_same_record(got, want):
+    for name in (f.name for f in fields(want)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        assert np.array_equal(a, b), name
+        assert np.asarray(a).dtype == np.asarray(b).dtype, name
+
+
+@pytest.fixture(scope="module")
+def recorded_benchmark_fit(benchmark_dataset):
+    """The benchmark fit again, with every record _record returned."""
+    records = []
+    record = pipeline_module._record
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_module, "_record",
+                      lambda *a: records.append(record(*a)) or records[-1])
+        res = fit(benchmark_dataset, benchmark_hp())
+    return res, records
+
+
+def test_history_returns_each_record_as_recorded(recorded_benchmark_fit):
+    res, records = recorded_benchmark_fit
+    assert isinstance(res.history, History)
+    assert len(res.history) == len(records) == res.iterations_run == 150
+    for got, want in zip(res.history, records):
+        _assert_same_record(got, want)
+    assert np.array_equal(res.objectives, [rec.objective for rec in records])
+
+
+@pytest.mark.parametrize("index", [0, 7, -1, -150, True, np.int64(5), slice(3, 9, 2),
+                                   slice(None, None, -1), slice(-3, None), slice(200, None)])
+def test_history_indexes_and_slices_as_a_list(recorded_benchmark_fit, index):
+    res, records = recorded_benchmark_fit
+    got, want = res.history[index], records[index]
+    if isinstance(index, slice):
+        assert type(got) is list and len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_record(a, b)
+    else:
+        _assert_same_record(got, want)
+
+
+@pytest.mark.parametrize("index, error", [(150, IndexError), (-151, IndexError),
+                                          ("1", TypeError), (1.0, TypeError)])
+def test_history_rejects_an_index_as_a_list_does(recorded_benchmark_fit, index, error):
+    with pytest.raises(error):
+        recorded_benchmark_fit[1][index]
+    with pytest.raises(error):
+        recorded_benchmark_fit[0].history[index]
+
+
+def test_history_cannot_be_written_through_a_record(recorded_benchmark_fit):
+    hist = recorded_benchmark_fit[0].history
+    before = hist[3]
+    rec = hist[3]
+    for name in ("recon_losses", "alpha", "beta", "w_residuals", "rotation_degenerate"):
+        getattr(rec, name)[:] = 1
+    rec.objective = 0.0
+    _assert_same_record(hist[3], before)
+    objectives = recorded_benchmark_fit[0].objectives
+    objectives[:] = 0.0
+    assert hist[3].objective == before.objective
+    with pytest.raises(ValueError, match="read-only"):
+        hist.column("alpha")[0, 0] = 0.0
+
+
+def test_a_history_retains_only_its_numbers():
+    # 150 iterations of 3 views are about 22 KB as one array per field, and
+    # about 140 KiB as a record of five small arrays per iteration
+    ds = _small_dataset(n=24, view_dims=[8, 9, 10])
+    hp = HyperParams(lam=1.0, dims=[6, 3], max_iter=150, tol=1e-300,
+                     kmeans_restarts=1, pretrain_iters=5)
+    tracemalloc.start()
+    try:
+        res = fit(ds, hp)
+        held = tracemalloc.get_traced_memory()[0]
+        assert res.iterations_run == 150
+        del res
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 40 * 1024
 
 
 def test_fit_is_bitwise_deterministic():
