@@ -275,8 +275,8 @@ def cmd_grid(args) -> int:
 
     # One group per (layer scheme, repeat): pretraining never reads lambda,
     # so each group pretrains once and fine-tunes every lambda from that start.
-    # A group keeps each fit's _values row, all the table reads, and drops
-    # its FitResult, so memory does not grow with the number of fits.
+    # A group keeps each fit's _values row, or a failed fit's message: all the
+    # table reads, so memory does not grow with the number of fits.
     def run_group(group):
         fits = []
         with shared_pretraining():
@@ -284,7 +284,7 @@ def cmd_grid(args) -> int:
                 try:
                     fits.append(_values(fit(dataset, hp)))
                 except (ValueError, NumericalError) as exc:
-                    fits.append(exc)
+                    fits.append(str(exc))
         return fits
 
     groups = [[cell[i] for cell in row] for row in cells for i in range(args.repeats)]
@@ -297,10 +297,10 @@ def cmd_grid(args) -> int:
             head = [str(len(rows) - 1), _fmt(hp.lam), ",".join(str(d) for d in hp.dims),
                     dataset.normalization, str(args.repeats)]
             # a failed cell reports its lowest-seed failure
-            failure = next((v for v in values if isinstance(v, Exception)), None)
+            failure = next((v for v in values if isinstance(v, str)), None)
             if failure is not None:
                 failed += 1
-                error = str(failure).replace("\t", " ").replace("\n", " ")
+                error = failure.replace("\t", " ").replace("\n", " ")
                 nans = ["nan"] * (len(GRID_COLUMNS) - len(head) - 2)
                 rows.append("\t".join(head + ["failed"] + nans + [error]))
                 continue

@@ -2,12 +2,13 @@
 
 The consensus h is a row-orthonormal k x n matrix chasing every view's
 partition through a per-view rotation w; alpha weights reconstruction
-quality, beta weights alignment quality. Each step is its block's exact
-optimum; alpha's holds even when every view reconstructs exactly, and
-beta's even when no view aligns positively. Every step is a function of
-plain arrays that the fit built from inputs pipeline.init_state checked, and
-none checks them again; pipeline.fit holds h, w, alpha and beta between
-steps, and its _record check catches a non-finite weight or objective.
+quality, beta weights alignment quality. The partitions are one (V, k, n)
+stack and the rotations one (V, k, k) stack, so each step is one batched
+expression over the views. Each is its block's exact optimum; alpha's holds
+even when every view reconstructs exactly, and beta's even when no view
+aligns positively. No step checks what pipeline.init_state checked;
+pipeline.fit holds h, w, alpha and beta, and its _record check catches a
+non-finite weight or objective.
 """
 
 from __future__ import annotations
@@ -22,26 +23,27 @@ from mvfuse.linalg import procrustes_max
 def update_consensus(partitions, rotations, beta):
     """Best row-orthonormal h for the weighted alignment sum.
 
-    Maximizes tr(h @ sum_v beta_v partition_v.T @ rotation_v). Returns
-    (h, degenerate); callers keep their previous h on a rank-deficient sum.
+    Maximizes tr(h @ sum_v beta_v partitions[v].T @ rotations[v]), the sum one
+    batched matmul; a one-view stack does not broadcast. Returns (h, degenerate);
+    callers keep their previous h on a rank-deficient sum.
     """
-    k, n = partitions[0].shape
-    u = np.zeros((n, k))
-    for b, hm, w in zip(beta, partitions, rotations, strict=True):
-        u += b * (hm.T @ w)
+    if not len(partitions) == len(rotations) == len(beta):
+        raise ValueError("partitions, rotations and beta differ in view count")
+    u = np.sum(np.reshape(beta, (-1, 1, 1)) * (np.swapaxes(partitions, 1, 2) @ rotations), axis=0)
     return procrustes_max(u)
 
 
-def update_rotation(partition, consensus, beta_v: float):
-    """Best orthonormal rotation aligning one view's partition to the consensus.
+def update_rotation(partitions, consensus, beta):
+    """Best orthonormal rotation aligning each view's partition to the consensus.
 
-    Maximizes tr(w.T @ q) for q = beta_v partition @ consensus.T; by the same
-    trace argument as the consensus step, w is p @ qt from the SVD of q.
-    Returns (w, degenerate); callers keep their previous w on a degenerate q.
+    Maximizes tr(w_v.T @ q_v) for q_v = beta_v partitions[v] @ consensus.T;
+    by the same trace argument as the consensus step, w_v is p_v @ qt_v from
+    the SVD of q_v, one batched SVD for every view. Returns the (V, k, k)
+    rotations and (V,) flags; callers keep a view's previous w where it is set.
     """
-    q = beta_v * (partition @ consensus.T)
+    q = np.reshape(beta, (-1, 1, 1)) * (partitions @ consensus.T)
     h, degenerate = procrustes_max(q)
-    return h.T, degenerate
+    return h.swapaxes(1, 2), degenerate
 
 
 def update_alpha(losses) -> np.ndarray:
@@ -69,13 +71,11 @@ def update_alpha(losses) -> np.ndarray:
 def update_beta(partitions, rotations, consensus):
     """Alignment weights maximizing sum_v beta_v f_v on the non-negative unit sphere.
 
-    f_v = tr(partition_v.T @ rotation_v @ consensus). The maximiser clamps f
-    at zero and normalizes; when no trace is positive it is the unit vector
-    at argmax f, the first view on ties. Returns (beta, f).
+    f_v = tr(partitions[v].T @ rotations[v] @ consensus), one batched sum.
+    The maximiser clamps f at zero and normalizes; when no trace is positive
+    it is the unit vector at argmax f, the first view on ties. Returns (beta, f).
     """
-    f = np.array(
-        [float(np.sum(hm * (w @ consensus))) for hm, w in zip(partitions, rotations)]
-    )
+    f = np.sum(partitions * (rotations @ consensus), axis=(1, 2))
     clamped = np.maximum(f, 0.0)
     norm = np.linalg.norm(clamped)
     if norm == 0.0:

@@ -1,11 +1,11 @@
 """Dense matrix primitives shared by every update rule.
 
-Everything here is a pure function of 2-d float64 arrays: no global state,
-no in-place mutation of inputs, and no coercion or shape check. The arrays
-are the fit's own, built from the inputs pipeline.init_state checked. svd
-alone tests its input for finiteness, because LAPACK's SVD may never return
-on an infinite entry; so pinv and procrustes_max raise NumericalError on a
-non-finite input.
+Everything here is a pure function of 2-d float64 arrays or stacks of them:
+no global state, no in-place mutation of inputs, and no coercion or shape
+check. The arrays are the fit's own, built from the inputs
+pipeline.init_state checked. svd alone tests its input for finiteness,
+because LAPACK's SVD may never return on an infinite entry; so pinv and
+procrustes_max raise NumericalError on a non-finite input.
 """
 
 from __future__ import annotations
@@ -84,19 +84,20 @@ def neg_part(a: np.ndarray) -> np.ndarray:
     return np.maximum(-a, 0.0)
 
 
-def procrustes_max(u: np.ndarray) -> tuple[np.ndarray, bool]:
+def procrustes_max(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-orthonormal h (k x n) maximizing tr(h @ u) for an n x k input.
 
     With the thin SVD u = p @ diag(s) @ qt, the maximizer is h = qt.T @ p.T
-    and the attained trace equals s.sum().
+    and the attained trace equals s.sum(). A (V, n, k) stack takes one
+    batched SVD, each member's h and flag bit for bit as its own call's.
 
     Returns (h, degenerate). When u is rank-deficient (including u == 0) the
     maximizer is not unique; h is still a valid orthonormal maximizer but the
     degenerate flag is set so callers can keep their previous iterate instead.
     The caller keeps k <= n: the consensus step passes n x k with
-    k <= dims[0] <= n, and the rotation step k x k.
+    k <= dims[0] <= n, and the rotation step a (V, k, k) stack.
     """
     p, s, qt = svd(u)
-    h = qt.T @ p.T
-    degenerate = bool(s[-1] <= DEGENERACY_RTOL * s[0])
+    h = qt.swapaxes(-1, -2) @ p.swapaxes(-1, -2)
+    degenerate = s[..., -1] <= DEGENERACY_RTOL * s[..., 0]
     return h, degenerate

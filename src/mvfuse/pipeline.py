@@ -2,14 +2,15 @@
 
 init_state is pretraining alone. fit then starts fusion from neutral weights
 (identity rotations, uniform alpha and beta, no consensus yet) and holds the
-consensus h, the rotations w, alpha and beta as plain arrays. One outer
-iteration runs, in order: the consensus step, a fine-tuning sweep of every
-view (basis refit, partition step), the per-view rotation steps, the alpha
-step, and the beta step; iteration 0's consensus step is the first. Layer
-depth acts through pretraining alone: a view's state is its partition h_m,
-and each sweep refits the view's one basis as x pinv(h_m), steps h_m
-against it and returns the view's reconstruction loss, taken from the
-step's own products with ||x||^2, which fit computes once per view.
+partitions as a (V, k, n) stack, the rotations w as a (V, k, k) one, and the
+consensus h, alpha and beta. One outer iteration runs, in order: the
+consensus step, a fine-tuning sweep of every view (basis refit, partition
+step) into its row of the stack, the rotation step (one batched SVD serves
+every view), the alpha step, and the beta step; iteration 0's consensus is
+the first. Layer depth acts through pretraining alone: a view's state is its
+partition h_m, and each sweep refits the view's one basis as x pinv(h_m),
+steps h_m against it and returns the view's reconstruction loss, taken from
+the step's own products with ||x||^2, which fit computes once per view.
 The joint objective is recorded after the beta step; from iteration 1 on,
 the loop stops when its relative change falls below tol (check_convergence),
 else after max_iter iterations. score_labels is the one scorer of labels
@@ -229,6 +230,7 @@ def init_state(dataset: MultiViewDataset, hp: HyperParams) -> list:
 
 def _record(partitions, h, w, alpha, beta, obj, losses, consensus_degenerate,
             rotation_degenerate, it):
+    """Iteration it's checked IterationRecord; partitions is (V, k, n), w is (V, k, k)."""
     eye = np.eye(h.shape[0])
     rec = IterationRecord(
         objective=obj,
@@ -239,9 +241,9 @@ def _record(partitions, h, w, alpha, beta, obj, losses, consensus_degenerate,
         w_residuals=np.array([float(np.linalg.norm(wv @ wv.T - eye)) for wv in w]),
         alpha_residual=float(abs(alpha.sum() - 1.0)),
         beta_residual=float(abs(np.linalg.norm(beta) - 1.0)),
-        min_h_entry=float(np.min([hm.min() for hm in partitions])),  # NaN-propagating
-        consensus_degenerate=consensus_degenerate,
-        rotation_degenerate=np.array(rotation_degenerate),
+        min_h_entry=float(partitions.min()),  # NaN-propagating
+        consensus_degenerate=bool(consensus_degenerate),
+        rotation_degenerate=rotation_degenerate,
     )
     residuals = np.array([rec.h_residual, *rec.w_residuals, rec.alpha_residual, rec.beta_residual])
     # Each value must compare within its bound, so a NaN anywhere fails the check.
@@ -261,12 +263,12 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
     when the dataset carries ground truth -- acc/nmi/pur scores. Numerical
     failure in any block aborts with the iteration and block named.
     """
-    partitions = init_state(dataset, hp)
+    partitions = np.stack(init_state(dataset, hp))  # (V, k, n); the sweep rewrites each row
     sq_norms = [float(np.sum(x * x)) for x in dataset.views]  # each sweep's loss reads ||x||^2
     # Neutral start: no consensus yet, identity rotations, uniform alpha and beta.
     nviews = dataset.num_views
     h = None
-    w = [np.eye(dataset.k) for _ in range(nviews)]
+    w = np.tile(np.eye(dataset.k), (nviews, 1, 1))
     alpha = np.full(nviews, 1.0 / nviews)
     beta = np.full(nviews, 1.0 / np.sqrt(nviews))
     history = []
@@ -283,12 +285,8 @@ def fit(dataset: MultiViewDataset, hp: HyperParams) -> FitResult:
                     x, partitions[v], h, w[v], alpha[v], beta[v], hp.lam, sq_norms[v]
                 )
             stage = "rotation"
-            rotation_degenerate = []
-            for v, hm in enumerate(partitions):
-                w_new, degenerate = update_rotation(hm, h, beta[v])
-                if not degenerate:
-                    w[v] = w_new
-                rotation_degenerate.append(degenerate)
+            w_new, rotation_degenerate = update_rotation(partitions, h, beta)
+            w = np.where(rotation_degenerate[:, None, None], w, w_new)
             stage = "alpha"
             alpha = update_alpha(losses)
             stage = "beta"

@@ -129,7 +129,7 @@ def test_criterion_4_block_optimality():
     for _ in range(20):
         partition = rng.uniform(0.0, 1.0, size=(3, 20))
         consensus = _row_orthonormal(rng, 3, 20)
-        w, _ = update_rotation(partition, consensus, 0.8)
+        w = update_rotation(partition[None], consensus, [0.8])[0][0]
         attained = float(np.sum(partition * (w @ consensus)))
         cands = np.linalg.qr(rng.standard_normal((samples, 3, 3)))[0]
         scores = np.einsum("kn,bkj,jn->b", partition, cands, consensus)
@@ -159,8 +159,8 @@ def test_criterion_4_block_optimality():
     arc = np.stack([np.cos(thetas), np.sin(thetas)])
     consensus = np.array([[1.0, 0.0]])
     for f in ([3.0, 4.0], [1.0, 0.01], [-1.0, 1.0], [2.0, 2.0]):
-        partitions = [np.array([[t, 0.0]]) for t in f]
-        rotations = [np.eye(1), np.eye(1)]
+        partitions = np.array([[[t, 0.0]] for t in f])
+        rotations = np.ones((2, 1, 1))
         closed, _ = update_beta(partitions, rotations, consensus)
         best = arc[:, int(np.argmax(np.asarray(f) @ arc))]
         beta_ok &= bool(np.max(np.abs(best - closed)) <= 1e-3)

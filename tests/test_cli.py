@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shlex
@@ -630,6 +631,40 @@ def test_grid_keeps_no_fit_result_for_its_table(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "_summary", checked_summary)
     assert main(FAILING_GRID + ["--out", str(tmp_path / "grid")]) == 0
     assert summaries == [0] * 6
+
+
+def test_grid_keeps_no_iteration_record_of_a_failed_fit(tmp_path, monkeypatch):
+    # a failed fit leaves its message alone: its exception's traceback would
+    # hold the fit's frame and, with it, the records of its iterations
+    records, alive = [], []
+    real_objective, real_record = pipeline_module.objective, pipeline_module._record
+    real_summary = cli_module._summary
+    half_calls = []  # objective calls of the lambda 0.5 fits
+
+    def failing(losses, traces, alpha, beta, lam):
+        if lam == 0.5:
+            half_calls.append(lam)
+            if len(half_calls) % 4 == 0:  # iteration 3, after three records
+                raise NumericalError("forced")
+        return real_objective(losses, traces, alpha, beta, lam)
+
+    def tracked_record(*args):
+        rec = real_record(*args)
+        records.append(weakref.ref(rec))
+        return rec
+
+    def checked_summary(values):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in records))
+        return real_summary(values)
+
+    monkeypatch.setattr(pipeline_module, "objective", failing)
+    monkeypatch.setattr(pipeline_module, "_record", tracked_record)
+    monkeypatch.setattr(cli_module, "_summary", checked_summary)
+    argv = FAILING_GRID + ["--threads", "1", "--out", str(tmp_path / "grid")]
+    assert main(argv) == 0
+    assert len(half_calls) == 6 * 4  # 2 schemes x 3 repeats at lambda 0.5, each failed
+    assert alive == [0] * 4
 
 
 def test_grid_records_failed_cells(tmp_path, capsys):

@@ -10,15 +10,18 @@ from mvfuse.fusion import (
     update_consensus,
     update_rotation,
 )
+from mvfuse.linalg import procrustes_max
 
 
 def _random_views(rng, k=3, n=20, v=2):
-    partitions = [rng.uniform(0.0, 1.0, size=(k, n)) for _ in range(v)]
-    rotations = [np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(v)]
+    """A (v, k, n) stack of partitions and a (v, k, k) stack of rotations."""
+    partitions = rng.uniform(0.0, 1.0, size=(v, k, n))
+    rotations = np.linalg.qr(rng.standard_normal((v, k, k)))[0]
     return partitions, rotations
 
 
 def _alignment_sum(partitions, rotations, beta):
+    """sum_v beta_v partitions[v].T @ rotations[v], one view at a time."""
     k, n = partitions[0].shape
     u = np.zeros((n, k))
     for b, hm, w in zip(beta, partitions, rotations):
@@ -57,7 +60,7 @@ def test_consensus_recovers_single_aligned_view_exactly():
     # and attains the trace bound k, so the consensus must equal it.
     rng = np.random.default_rng(41)
     hm = _row_orthonormal(rng, 3, 25)
-    h, degenerate = update_consensus([hm], [np.eye(3)], [1.0])
+    h, degenerate = update_consensus(hm[None], np.eye(3)[None], [1.0])
     assert not degenerate
     assert np.allclose(h, hm, atol=1e-10)
     assert np.isclose(float(np.sum(h * hm)), 3.0)
@@ -78,7 +81,7 @@ def test_consensus_validates_inputs():
         update_consensus(partitions, rotations[:1], [0.5, 0.5])
     with pytest.raises(ValueError):
         update_consensus(partitions, rotations, [0.5])
-    bad = [partitions[0], rng.uniform(size=(3, 21))]
+    bad = [partitions[0], rng.uniform(size=(3, 21))]  # no stack holds these
     with pytest.raises(ValueError):
         update_consensus(bad, rotations, [0.5, 0.5])
     with pytest.raises(ValueError):
@@ -89,11 +92,17 @@ def test_consensus_validates_inputs():
 # rotation
 
 
+def _rotation(partition, consensus, beta_v):
+    """update_rotation on a one-view stack: that view's (w, degenerate)."""
+    w, degenerate = update_rotation(partition[None], consensus, [beta_v])
+    return w[0], degenerate[0]
+
+
 def test_rotation_is_orthonormal_and_beats_random_candidates():
     rng = np.random.default_rng(59)
     partition = rng.uniform(0.0, 1.0, size=(3, 20))
     consensus = _row_orthonormal(rng, 3, 20)
-    w, degenerate = update_rotation(partition, consensus, 0.7)
+    w, degenerate = _rotation(partition, consensus, 0.7)
     assert not degenerate
     assert np.allclose(w @ w.T, np.eye(3), atol=1e-12)
     best = float(np.sum(partition * (w @ consensus)))
@@ -105,7 +114,7 @@ def test_rotation_is_orthonormal_and_beats_random_candidates():
 def test_rotation_for_self_alignment_is_identity():
     rng = np.random.default_rng(61)
     consensus = _row_orthonormal(rng, 4, 30)
-    w, degenerate = update_rotation(consensus, consensus, 1.0)
+    w, degenerate = _rotation(consensus, consensus, 1.0)
     assert not degenerate
     assert np.allclose(w, np.eye(4), atol=1e-10)
 
@@ -115,8 +124,8 @@ def test_rotation_ignores_positive_weight_scale():
     rng = np.random.default_rng(67)
     partition = rng.uniform(0.0, 1.0, size=(3, 20))
     consensus = _row_orthonormal(rng, 3, 20)
-    w_small, _ = update_rotation(partition, consensus, 1e-3)
-    w_large, _ = update_rotation(partition, consensus, 10.0)
+    w_small, _ = _rotation(partition, consensus, 1e-3)
+    w_large, _ = _rotation(partition, consensus, 10.0)
     assert np.allclose(w_small, w_large, atol=1e-10)
 
 
@@ -124,13 +133,42 @@ def test_rotation_flags_zero_weight_as_degenerate():
     rng = np.random.default_rng(71)
     partition = rng.uniform(0.0, 1.0, size=(3, 20))
     consensus = _row_orthonormal(rng, 3, 20)
-    _, degenerate = update_rotation(partition, consensus, 0.0)
+    _, degenerate = _rotation(partition, consensus, 0.0)
     assert degenerate
 
 
 def test_rotation_validates_shapes():
     with pytest.raises(ValueError):
-        update_rotation(np.ones((3, 20)), np.ones((3, 21)), 1.0)
+        update_rotation(np.ones((1, 3, 20)), np.ones((3, 21)), [1.0])
+
+
+# ---------------------------------------------------------------------------
+# the view stacks, bit for bit as one view at a time
+
+
+@pytest.mark.parametrize("n", [20, 300])
+@pytest.mark.parametrize("k", [3, 5, 12])
+def test_stacked_blocks_equal_one_view_at_a_time_bit_for_bit(k, n):
+    # the fit's shapes; the zero weight makes the middle view's rotation degenerate
+    rng = np.random.default_rng(101 + k + n)
+    partitions, rotations = _random_views(rng, k=k, n=n, v=3)
+    consensus = np.ascontiguousarray(_row_orthonormal(rng, k, n))  # C order, as in a fit
+    beta = np.array([0.6, 0.0, 0.8])
+
+    w, degenerate = update_rotation(partitions, consensus, beta)
+    for v, (hm, b) in enumerate(zip(partitions, beta)):
+        h_v, degenerate_v = procrustes_max(b * (hm @ consensus.T))
+        assert w[v].tobytes() == h_v.T.tobytes()
+        assert degenerate[v] == degenerate_v
+    assert degenerate.tolist() == [False, True, False]
+
+    h, consensus_degenerate = update_consensus(partitions, rotations, beta)
+    h_seq, degenerate_seq = procrustes_max(_alignment_sum(partitions, rotations, beta))
+    assert h.tobytes() == h_seq.tobytes() and consensus_degenerate == degenerate_seq
+
+    _, traces = update_beta(partitions, rotations, consensus)
+    sequential = [float(np.sum(hm * (w_v @ consensus))) for hm, w_v in zip(partitions, rotations)]
+    assert traces.tobytes() == np.array(sequential).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +228,8 @@ def test_alpha_leaves_a_non_finite_loss_to_the_objective():
 def _beta_fixture(traces):
     """Views engineered so view v's alignment trace equals traces[v]."""
     consensus = np.array([[1.0, 0.0]])
-    partitions = [np.array([[t, 0.0]]) for t in traces]
-    rotations = [np.eye(1) for _ in traces]
+    partitions = np.array([[[t, 0.0]] for t in traces])
+    rotations = np.ones((len(traces), 1, 1))
     return partitions, rotations, consensus
 
 
@@ -266,7 +304,7 @@ def test_objective_pure_alignment_equals_minus_lam_k():
     x, basis, h = _exact_view(rng, d=8, k=3, n=24)
     lam = 0.7
     losses = [reconstruction_loss(x, basis, h)]
-    _, traces = update_beta([h], [np.eye(3)], h.copy())
+    _, traces = update_beta(h[None], np.eye(3)[None], h.copy())
     got = objective(losses, traces, np.array([1.0]), np.array([1.0]), lam)
     assert np.isclose(got, -lam * 3.0, atol=1e-12)
 
@@ -280,7 +318,7 @@ def test_objective_matches_term_by_term_recomputation():
         x = rng.standard_normal((d, 20))
         views.append((x, z[0] @ z[1], h[1]))
     consensus = _row_orthonormal(rng, 3, 20)
-    rotations = [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)]
+    rotations = np.linalg.qr(rng.standard_normal((2, 3, 3)))[0]
     alpha, beta = np.array([0.3, 0.7]), np.array([0.6, 0.8])
     lam = 1.3
     expected = 0.0
@@ -289,5 +327,5 @@ def test_objective_matches_term_by_term_recomputation():
         align = np.trace(hm.T @ w @ consensus)
         expected += a * a * recon - lam * b * align
     losses = [reconstruction_loss(*view) for view in views]
-    _, traces = update_beta([hm for _, _, hm in views], rotations, consensus)
+    _, traces = update_beta(np.stack([hm for _, _, hm in views]), rotations, consensus)
     assert np.isclose(objective(losses, traces, alpha, beta, lam), expected, rtol=1e-12)
